@@ -3,8 +3,6 @@ maximum-weight matching over demand weights."""
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .evaluation import EvalSpec, eval_matching
 from .model import CongestionReport, DemandMatrix, HybridNetwork, Matching
 
@@ -20,6 +18,10 @@ def max_weight_matching(net: HybridNetwork, demands: DemandMatrix) -> Matching:
     Only pairs with positive weight participate.  General graphs need a
     blossom-style algorithm for exactness; networkx provides one.
     """
+    # Deferred: networkx adds about 12 MiB to a process, and this is its
+    # only user in the package.
+    import networkx as nx
+
     graph = nx.Graph()
     for i, j in demands.positive_pairs():
         graph.add_edge(i, j, weight=demands.pair_weight(i, j))

@@ -33,6 +33,7 @@ from .model import (
     pair_key,
 )
 from .paths import all_simple_paths, k_shortest_paths
+from .segregated import default_trials
 
 
 class RoutingModel(Enum):
@@ -277,16 +278,11 @@ def route_matching(
             if not paths:
                 return None
 
-    trials = spec.trials if spec.trials is not None else _default_trials(net)
+    trials = spec.trials if spec.trials is not None else default_trials(net)
     flow, _report = _best_rounding(
         menus, residual, net, matching, fixed, trials, spec.seed
     )
     return flow
-
-
-def _default_trials(net: HybridNetwork) -> int:
-    m = max(len(net.static_links), 2)
-    return int(math.ceil(math.log2(m))) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +347,12 @@ def brute_force_opt(
     """True optimum by enumerating every relevant matching.
 
     Segregated models only need matchings over demand-positive pairs (other
-    links cannot carry any flow); non-segregated models enumerate matchings
-    over all candidate pairs.  Unsplittable models additionally enumerate
-    path assignments exhaustively, bounded by a path-count budget.
+    links cannot carry any flow), and must try all of them: offloading a
+    pair onto its own link can raise the load.  Non-segregated models
+    enumerate only the maximal matchings over all candidate pairs, because
+    an extra active link never raises the optimum: the flow may leave it
+    unused.  Unsplittable models additionally enumerate path assignments
+    exhaustively, bounded by a path-count budget.
     """
     if net.n > node_limit:
         raise InstanceTooLargeError(f"{net.n} nodes exceeds the oracle limit {node_limit}")
@@ -363,20 +362,21 @@ def brute_force_opt(
         base_pairs = [(l.u, l.v) for l in net.reconf_links]
 
     best: tuple[Matching, CongestionReport] | None = None
-    for matching in _enumerate_matchings(base_pairs):
+    for matching in _enumerate_matchings(base_pairs, maximal_only=not spec.routing.segregated):
         report = _exact_matching_cost(net, demands, matching, spec)
         if best is None or report.max_load < best[1].max_load - 1e-12:
             best = (matching, report)
-    assert best is not None  # the empty matching is always enumerated
+    assert best is not None  # at least one (maximal) matching always exists
     return best
 
 
-def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]]):
+def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]], maximal_only: bool = False):
     pairs = sorted(pairs)
 
     def extend(index: int, chosen: list, used: set):
         if index == len(pairs):
-            yield Matching(chosen)
+            if not maximal_only or all(i in used or j in used for i, j in pairs):
+                yield Matching(chosen)
             return
         yield from extend(index + 1, chosen, used)
         i, j = pairs[index]

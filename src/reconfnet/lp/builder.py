@@ -18,7 +18,7 @@ heavy-tailed flow sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import NumericalFailureError
@@ -40,10 +40,6 @@ class LpProblem:
     demands: DemandMatrix
     demand_scale: float
     net: HybridNetwork | None = None
-    # row bookkeeping for the crash basis: (commodity index, node) -> row,
-    # and one capacity row per arc index
-    node_rows: dict = field(default_factory=dict)
-    cap_rows: dict = field(default_factory=dict)
 
     @property
     def num_flow_vars(self) -> int:
@@ -139,16 +135,13 @@ def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
                 pair = pair_key(i, j)
                 if pair in z_index:
                     coeffs[problem.z_var(z_index[pair])] = d
-                problem.node_rows[(ci, v)] = len(lp.rows)
                 lp.add_row(coeffs, GE, d, f"dem:{i}->{j}")
             elif coeffs:
-                problem.node_rows[(ci, v)] = len(lp.rows)
                 lp.add_row(coeffs, EQ, 0.0, f"con:{i}->{j}@{v}")
 
     for ai, arc in enumerate(arcs):
         coeffs = {problem.flow_var(ci, ai): 1.0 / arc.capacity for ci in range(len(commodities))}
         coeffs[0] = -1.0
-        problem.cap_rows[ai] = len(lp.rows)
         lp.add_row(coeffs, LE, 0.0, f"cap:{ai}")
 
     for (i, j), k in z_index.items():
@@ -234,101 +227,16 @@ def build_mcmf_lp(
             for ai in in_arcs.get(v, ()):
                 coeffs[problem.flow_var(ci, ai)] = -1.0
             if v == i:
-                problem.node_rows[(ci, v)] = len(lp.rows)
                 lp.add_row(coeffs, GE, d, f"dem:{i}->{j}")
             elif coeffs:
-                problem.node_rows[(ci, v)] = len(lp.rows)
                 lp.add_row(coeffs, EQ, 0.0, f"con:{i}->{j}@{v}")
 
     for ai, arc in enumerate(arcs):
         coeffs = {problem.flow_var(ci, ai): 1.0 / arc.capacity for ci in range(len(commodities))}
         coeffs[0] = -1.0
-        problem.cap_rows[ai] = len(lp.rows)
         lp.add_row(coeffs, LE, 0.0, f"cap:{ai}")
 
     return problem
-
-
-def crash_basis(problem: LpProblem) -> dict[int, int] | None:
-    """Feasible warm-start basis when the arc graph is connected.
-
-    Each commodity starts on its spanning-tree path (the tree's node-arc
-    incidence block is invertible and tree routing is nonnegative, so the
-    conservation rows come out feasible) and the congestion variable starts
-    basic in the most-loaded capacity row; every other row keeps its slack.
-    Skips phase one entirely.  Returns None when no single tree spans all
-    nodes, and the solver falls back to the two-phase start.
-    """
-    arcs = problem.arcs
-    if not arcs or not problem.commodities or not problem.node_rows:
-        return None
-    n_nodes = 1 + max(max(a.tail, a.head) for a in arcs)
-    for i, j in problem.commodities:
-        n_nodes = max(n_nodes, i + 1, j + 1)
-
-    # BFS spanning tree over the undirected support; remember both directions
-    forward: dict[tuple[int, int], int] = {}
-    for ai, arc in enumerate(arcs):
-        forward.setdefault((arc.tail, arc.head), ai)
-    neighbors: dict[int, list[int]] = {}
-    for tail, head in forward:
-        if (head, tail) in forward:  # need both directions to orient freely
-            neighbors.setdefault(tail, []).append(head)
-    parent: dict[int, int] = {0: -1}
-    order = [0]
-    cursor = 0
-    while cursor < len(order):
-        node = order[cursor]
-        cursor += 1
-        for other in sorted(neighbors.get(node, ())):
-            if other not in parent:
-                parent[other] = node
-                order.append(other)
-    if len(parent) < n_nodes:
-        return None
-
-    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        up_src, up_dst = [src], [dst]
-        seen = {src: 0}
-        node = src
-        while parent[node] != -1:
-            node = parent[node]
-            up_src.append(node)
-            seen[node] = len(up_src) - 1
-        node = dst
-        while node not in seen:
-            node = parent[node]
-            up_dst.append(node)
-        meet = node
-        ascent = up_src[: seen[meet] + 1]
-        descent = up_dst[: up_dst.index(meet) + 1][::-1] if meet in up_dst else [meet]
-        nodes = ascent + descent[1:]
-        return list(zip(nodes[:-1], nodes[1:]))
-
-    tree_edges = sorted((min(v, p), max(v, p)) for v, p in parent.items() if p != -1)
-    hint: dict[int, int] = {}
-    loads = {ai: 0.0 for ai in problem.cap_rows}
-    for ci, (i, j) in enumerate(problem.commodities):
-        d = problem.demands.get(i, j) / problem.demand_scale
-        path_arcs: dict[tuple[int, int], int] = {}
-        for u, v in tree_path(i, j):
-            ai = forward[(u, v)]
-            path_arcs[(min(u, v), max(u, v))] = ai
-            loads[ai] += d / arcs[ai].capacity
-        columns = []
-        for edge in tree_edges:
-            ai = path_arcs.get(edge, forward[edge])
-            columns.append(problem.flow_var(ci, ai))
-        rows = sorted(r for (c, _v), r in problem.node_rows.items() if c == ci)
-        if len(rows) != len(columns):
-            return None  # isolated structure the tree logic cannot cover
-        for row, column in zip(rows, columns):
-            hint[row] = column
-
-    busiest = max(loads, key=lambda ai: (loads[ai], -ai), default=None)
-    if busiest is not None and loads[busiest] > 0:
-        hint[problem.cap_rows[busiest]] = 0  # the congestion variable
-    return hint
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -341,7 +249,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if problem.trivially_optimal:
         return LpSolution(LpStatus.OPTIMAL, 0.0, {}, {}, problem)
 
-    result = solve_simplex(problem.lp, basis_hint=crash_basis(problem))
+    result = solve_simplex(problem.lp)
     if result.status is LpStatus.UNBOUNDED:
         raise NumericalFailureError("congestion LP reported unbounded")
     if result.status is LpStatus.INFEASIBLE:

@@ -1,14 +1,9 @@
-"""Dense revised-simplex solver for the toolkit's linear programs.
+"""The toolkit's linear programs and their solver, HiGHS's dual simplex.
 
-Self-contained on purpose: congestion bounds proved elsewhere in the package
-lean on the LP optimum, so the solver is part of the trusted core and is
-cross-checked in the test suite against an independent path-formulation
-oracle.  Scale target is desk-sized instances (a few thousand rows).
-
-The solver keeps an explicit dense basis inverse with in-place rank-one
-updates, prices with Dantzig's rule on incrementally maintained reduced costs
-(recomputed exactly at a fixed cadence to bound drift), and falls back to
-Bland's rule after a stall to break degenerate cycling.
+A ``LinearProgram`` is a list of labelled sparse rows over nonnegative
+variables.  ``solve_simplex`` hands it to ``scipy.optimize.linprog`` and
+reports the status, objective and primal vector; callers check the result
+(residuals, degree bound) themselves rather than trusting the solver.
 """
 
 from __future__ import annotations
@@ -17,21 +12,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dger
 
 from ..errors import NumericalFailureError
 
 LE = "<="
 GE = ">="
 EQ = "=="
-
-_PIVOT_TOL = 1e-9
-_COST_TOL = 1e-9
-_FEAS_TOL = 1e-9
-_DRIFT_TOL = 1e-8
-_STALL_LIMIT = 120
-_REPRICE_EVERY = 100
 
 
 class LpStatus(Enum):
@@ -76,276 +62,50 @@ class SimplexResult:
     iterations: int
 
 
-def solve_simplex(
-    lp: LinearProgram,
-    max_iterations: int | None = None,
-    basis_hint: dict[int, int] | None = None,
-) -> SimplexResult:
-    """Two-phase revised simplex on the standard-form rewrite of ``lp``.
+_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 
-    ``basis_hint`` maps row indices to structural variable indices that
-    should start in the basis (rows not mentioned fall back to their slack
-    or an artificial).  A hint that yields a feasible basis skips phase one
-    entirely; anything less (singular, infeasible) silently falls back to
-    the standard two-phase start.
+
+def solve_simplex(lp: LinearProgram) -> SimplexResult:
+    """Solve ``lp`` with HiGHS's dual simplex.
+
+    LE rows and negated GE rows form the inequality block, EQ rows the
+    equality block.  Any HiGHS outcome other than optimal, infeasible or
+    unbounded (iteration limit, numerical trouble) raises.
     """
-    m = len(lp.rows)
-    if m == 0:
-        x = np.zeros(lp.num_vars)
-        return SimplexResult(LpStatus.OPTIMAL, 0.0, x, 0)
+    # Deferred: these two add about 40 MiB to a process, and LP-free callers
+    # of the package never need them.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
 
-    n = lp.num_vars
-    # Standard form: flip rows to rhs >= 0, then add one slack/surplus column
-    # per inequality and one artificial column wherever no natural basic
-    # column exists.
-    data: list[float] = []
-    rows_idx: list[int] = []
-    cols_idx: list[int] = []
-    b = np.zeros(m)
-    col = n
-    slack_col_of_row: dict[int, int] = {}
-    for r, row in enumerate(lp.rows):
-        sign = 1.0
-        sense = row.sense
-        if row.rhs < 0:
-            sign = -1.0
-            sense = {LE: GE, GE: LE, EQ: EQ}[row.sense]
+    blocks = {LE: ([], [], [], []), EQ: ([], [], [], [])}
+    for row in lp.rows:
+        sign = -1.0 if row.sense == GE else 1.0
+        data, rows, cols, rhs = blocks[EQ if row.sense == EQ else LE]
+        r = len(rhs)
         for var, coef in row.coeffs.items():
             data.append(sign * coef)
-            rows_idx.append(r)
-            cols_idx.append(var)
-        b[r] = sign * row.rhs
-        if sense == LE:
-            data.append(1.0)
-            rows_idx.append(r)
-            cols_idx.append(col)
-            slack_col_of_row[r] = col
-            col += 1
-        elif sense == GE:
-            data.append(-1.0)
-            rows_idx.append(r)
-            cols_idx.append(col)
-            col += 1
+            rows.append(r)
+            cols.append(var)
+        rhs.append(sign * row.rhs)
 
-    artificial_of_row: dict[int, int] = {}
-    hinted = basis_hint or {}
-    for r in range(m):
-        if r in slack_col_of_row or r in hinted:
-            continue
-        data.append(1.0)
-        rows_idx.append(r)
-        cols_idx.append(col)
-        artificial_of_row[r] = col
-        col += 1
+    def matrix(sense):
+        data, rows, cols, rhs = blocks[sense]
+        if not rhs:
+            return None, None
+        return sp.csr_array((data, (rows, cols)), shape=(len(rhs), lp.num_vars)), rhs
 
-    total = col
-    A = sp.csc_matrix((data, (rows_idx, cols_idx)), shape=(m, total))
-    At = A.T.tocsr()
-
-    c_phase2 = np.zeros(total)
+    A_ub, b_ub = matrix(LE)
+    A_eq, b_eq = matrix(EQ)
+    c = np.zeros(lp.num_vars)
     for var, coef in lp.objective.items():
-        c_phase2[var] = coef
-    c_phase1 = np.zeros(total)
-    for art in artificial_of_row.values():
-        c_phase1[art] = 1.0
-
-    basis = np.empty(m, dtype=np.int64)
-    for r in range(m):
-        basis[r] = hinted.get(r, slack_col_of_row.get(r, artificial_of_row.get(r, -1)))
-    if np.any(basis < 0):
-        raise AssertionError("every row must start with a basic column")
-
-    artificial_mask = np.zeros(total, dtype=bool)
-    for art in artificial_of_row.values():
-        artificial_mask[art] = True
-
-    limit = max_iterations if max_iterations is not None else 20_000 + 40 * m
-    state = _SimplexState(A, At, b, basis, artificial_mask, limit)
-
-    hint_ok = False
-    if hinted:
-        try:
-            state.refactorize()
-            feasible = bool((state.xB >= -_FEAS_TOL * state.scale).all())
-            clean = not artificial_of_row or (
-                state.xB[artificial_mask[state.basis]] <= _FEAS_TOL * state.scale
-            ).all()
-            hint_ok = feasible and clean
-        except NumericalFailureError:
-            hint_ok = False
-        if hint_ok:
-            state.xB = np.maximum(state.xB, 0.0)
-        else:
-            return solve_simplex(lp, max_iterations=max_iterations, basis_hint=None)
-
-    if artificial_of_row and not hint_ok:
-        status = state.optimize(c_phase1, phase1=True)
-        if status is LpStatus.UNBOUNDED:
-            raise NumericalFailureError("phase-1 objective unbounded; solver state corrupt")
-        if state.objective(c_phase1) > 1e-7 * max(1.0, float(np.abs(b).max())):
-            x = state.extract(n)
-            return SimplexResult(LpStatus.INFEASIBLE, float("nan"), x, state.iterations)
-
-    status = state.optimize(c_phase2, phase1=False)
-    x = state.extract(n)
-    if status is LpStatus.UNBOUNDED:
-        return SimplexResult(LpStatus.UNBOUNDED, float("-inf"), x, state.iterations)
-    objective = float(np.dot(c_phase2[:n], x))
-    return SimplexResult(LpStatus.OPTIMAL, objective, x, state.iterations)
-
-
-class _SimplexState:
-    def __init__(self, A, At, b, basis, artificial_mask, limit: int):
-        self.A = A
-        self.At = At
-        self.b = b
-        self.m = len(b)
-        self.basis = basis
-        self.artificial_mask = artificial_mask
-        self.limit = limit
-        self.iterations = 0
-        self.B_inv = np.asfortranarray(np.eye(self.m))
-        self.xB = b.astype(float).copy()
-        self.scale = max(1.0, float(np.abs(b).max()))
-
-    def objective(self, c: np.ndarray) -> float:
-        return float(np.dot(c[self.basis], self.xB))
-
-    def extract(self, n: int) -> np.ndarray:
-        x = np.zeros(self.A.shape[1])
-        x[self.basis] = np.maximum(self.xB, 0.0)
-        return x[:n]
-
-    def refactorize(self) -> None:
-        B = self.A[:, self.basis].toarray()
-        try:
-            self.B_inv = np.asfortranarray(np.linalg.inv(B))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError("basis became singular") from exc
-        self.xB = self.B_inv @ self.b
-
-    def _column(self, j: int) -> np.ndarray:
-        start, end = self.A.indptr[j], self.A.indptr[j + 1]
-        rows = self.A.indices[start:end]
-        vals = self.A.data[start:end]
-        return self.B_inv[:, rows] @ vals
-
-    def _drifted(self) -> bool:
-        residual = self.A[:, self.basis] @ self.xB - self.b
-        return float(np.abs(residual).max(initial=0.0)) > _DRIFT_TOL * self.scale
-
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = c[self.basis] @ self.B_inv
-        reduced = c - self.At.dot(y)
-        reduced[self.basis] = 0.0
-        return reduced
-
-    def optimize(self, c: np.ndarray, phase1: bool) -> LpStatus:
-        total = self.A.shape[1]
-        in_basis = np.zeros(total, dtype=bool)
-        in_basis[self.basis] = True
-        bland = False
-        stall = 0
-        best_obj = self.objective(c)
-        reduced = self._reduced_costs(c)
-        since_reprice = 0
-        weights = np.ones(total)  # devex reference weights
-        while True:
-            if self.iterations >= self.limit:
-                raise NumericalFailureError(
-                    f"simplex hit the iteration limit ({self.limit}) without converging"
-                )
-            self.iterations += 1
-            since_reprice += 1
-            if since_reprice >= _REPRICE_EVERY:
-                since_reprice = 0
-                if self._drifted():
-                    self.refactorize()
-                reduced = self._reduced_costs(c)
-
-            priced = reduced.copy()
-            priced[in_basis] = 0.0
-            if not phase1:
-                # artificials stay locked out once feasibility is proven
-                priced[self.artificial_mask] = np.inf
-
-            eligible = priced < -_COST_TOL
-            if bland:
-                candidates = np.flatnonzero(eligible)
-                if candidates.size == 0:
-                    return LpStatus.OPTIMAL
-                j = int(candidates[0])
-            else:
-                if not np.any(eligible):
-                    return LpStatus.OPTIMAL
-                # devex pricing: steepest descent in the reference framework
-                score = np.where(eligible, priced * priced / weights, -np.inf)
-                j = int(np.argmax(score))
-
-            d = self._column(j)
-            positive = d > _PIVOT_TOL
-            ratios = np.full(self.m, np.inf)
-            ratios[positive] = self.xB[positive] / d[positive]
-            if not phase1:
-                # Expel artificials parked in the basis at level zero: a
-                # zero-length pivot on their row keeps feasibility and stops
-                # them from ever drifting positive again.
-                expel = (
-                    self.artificial_mask[self.basis]
-                    & (np.abs(d) > _PIVOT_TOL)
-                    & (self.xB <= _FEAS_TOL * self.scale)
-                )
-                ratios[expel] = 0.0
-            theta = float(ratios.min())
-            if not np.isfinite(theta):
-                return LpStatus.UNBOUNDED
-            ties = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
-            if bland:
-                # leave the candidate whose basic variable has the lowest index
-                p = int(ties[np.argmin(self.basis[ties])])
-            else:
-                # prefer the numerically strongest pivot among the tied rows
-                p = int(ties[np.argmax(np.abs(d[ties]))])
-
-            leaving = int(self.basis[p])
-
-            # incremental pricing: r' = r - (r_q / alpha_pq) * (row p of B_inv A)
-            alpha_p = self.At.dot(self.B_inv[p])
-            pivot_val = alpha_p[j]
-            if abs(pivot_val) <= _PIVOT_TOL:
-                # stale state led to a bad pivot; rebuild exactly and retry
-                self.refactorize()
-                reduced = self._reduced_costs(c)
-                since_reprice = 0
-                continue
-            reduced = reduced - (reduced[j] / pivot_val) * alpha_p
-            reduced[j] = 0.0
-
-            # devex weight propagation along the pivot row
-            ratio_sq = (alpha_p / pivot_val) ** 2
-            np.maximum(weights, ratio_sq * weights[j], out=weights)
-            weights[leaving] = max(weights[j] / (pivot_val * pivot_val), 1.0)
-            if weights.max() > 1e8:
-                weights.fill(1.0)  # reference framework degraded; restart it
-
-            pivot_row = self.B_inv[p] / d[p]
-            self.B_inv = dger(
-                -1.0, d, pivot_row, a=self.B_inv, overwrite_a=1, overwrite_x=0, overwrite_y=0
-            )
-            self.B_inv[p] = pivot_row
-            new_xb = self.xB - theta * d
-            new_xb[p] = theta
-            self.xB = np.maximum(new_xb, 0.0)
-            self.basis[p] = j
-            in_basis[leaving] = False
-            in_basis[j] = True
-
-            obj = self.objective(c)
-            if obj < best_obj - _COST_TOL * self.scale:
-                best_obj = obj
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
+        c[var] = coef
+    res = linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds"
+    )
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise NumericalFailureError(f"HiGHS stopped with status {res.status}: {res.message}")
+    if status is LpStatus.OPTIMAL:
+        return SimplexResult(status, float(res.fun), res.x, res.nit)
+    objective = float("nan") if status is LpStatus.INFEASIBLE else float("-inf")
+    return SimplexResult(status, objective, np.zeros(lp.num_vars), res.nit)

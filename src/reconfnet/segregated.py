@@ -54,11 +54,22 @@ class RoundedSolution:
 def round_matching(solution: LpSolution) -> Matching:
     """Round indicators strictly above one half up, the rest down.
 
-    The comparison is an exact floating-point ``> 0.5``: a tie rounds down,
-    and the LP degree rows make more than one selected pair per node
-    impossible, so the result is always a valid matching.
+    The comparison is an exact floating-point ``> 0.5``: a tie rounds down.
+    The degree rows hold only up to the solver's tolerance, so two pairs that
+    share a node can both sit a hair above one half.  Pairs are therefore
+    taken by descending indicator, ties broken by pair, and a pair with an
+    endpoint already matched is left out.  Its indicator exceeds one half by
+    at most that tolerance, so its 1/(1 - z) rescaling exceeds 2 by at most
+    a few times the same tolerance.
     """
-    selected = [pair for pair, value in sorted(solution.z.items()) if value > 0.5]
+    selected: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for pair, value in sorted(solution.z.items(), key=lambda item: (-item[1], item[0])):
+        if value <= 0.5:
+            break
+        if used.isdisjoint(pair):
+            selected.append(pair)
+            used.update(pair)
     return Matching(selected)
 
 

@@ -2,8 +2,9 @@
 
 Deliberately built on different foundations than the package under test:
 congestion optima come from a path-enumeration LP solved by scipy's HiGHS
-(different formulation, different solver), exact rational LP values come
-from vertex enumeration over Fractions, and matchings come from exhaustive
+(a different formulation from the package's edge-based LP), unsplittable
+optima from trying every path assignment, exact rational LP values from
+vertex enumeration over Fractions, and matchings from exhaustive
 enumeration.
 """
 
@@ -38,30 +39,31 @@ def path_lp_congestion(arcs, demands: DemandMatrix, path_cap: int = 20000) -> fl
     num_vars = 1 + sum(len(options) for _, options in menus)
     c = np.zeros(num_vars)
     c[0] = 1.0
-    rows_eq, rhs_eq, rows_ub, rhs_ub = [], [], [], []
+    eq_rows, eq_cols, rhs_eq = [], [], []
     arc_to_vars: dict[DirectedLink, list[int]] = {}
     base = 1
     for (i, j), options in menus:
-        row = sp.dok_matrix((1, num_vars))
         for idx, path in enumerate(options):
-            row[0, base + idx] = 1.0
+            eq_rows.append(len(rhs_eq))
+            eq_cols.append(base + idx)
             for arc in path:
                 arc_to_vars.setdefault(arc, []).append(base + idx)
-        rows_eq.append(row.tocsr())
         rhs_eq.append(demands.get(i, j))
         base += len(options)
-    for arc in sorted(arc_to_vars, key=lambda a: (a.tail, a.head, a.kind.value, a.copy)):
-        row = sp.dok_matrix((1, num_vars))
-        for var in arc_to_vars[arc]:
-            row[0, var] = 1.0 / arc.capacity
-        row[0, 0] = -1.0
-        rows_ub.append(row.tocsr())
-        rhs_ub.append(0.0)
+    ub_rows, ub_cols, ub_data = [], [], []
+    ordered = sorted(arc_to_vars, key=lambda a: (a.tail, a.head, a.kind.value, a.copy))
+    for r, arc in enumerate(ordered):
+        for var in arc_to_vars[arc] + [0]:
+            ub_rows.append(r)
+            ub_cols.append(var)
+            ub_data.append(-1.0 if var == 0 else 1.0 / arc.capacity)
+    A_eq = sp.csr_array((np.ones(len(eq_rows)), (eq_rows, eq_cols)), shape=(len(rhs_eq), num_vars))
+    A_ub = sp.csr_array((ub_data, (ub_rows, ub_cols)), shape=(len(ordered), num_vars))
     res = linprog(
         c,
-        A_ub=sp.vstack(rows_ub) if rows_ub else None,
-        b_ub=rhs_ub or None,
-        A_eq=sp.vstack(rows_eq),
+        A_ub=A_ub,
+        b_ub=np.zeros(len(ordered)),
+        A_eq=A_eq,
         b_eq=rhs_eq,
         bounds=[(0, None)] * num_vars,
         method="highs",
@@ -70,6 +72,30 @@ def path_lp_congestion(arcs, demands: DemandMatrix, path_cap: int = 20000) -> fl
         return math.inf
     assert res.status == 0, f"oracle LP failed with status {res.status}"
     return float(res.fun)
+
+
+def exhaustive_unsplittable_congestion(arcs, demands: DemandMatrix, path_cap: int = 20000) -> float:
+    """Exact unsplittable min-congestion: every combination of one simple
+    path per commodity is tried.  Returns math.inf when some commodity has
+    no path."""
+    arcs = tuple(a for a in arcs if a.capacity > 0)
+    index = {arc: k for k, arc in enumerate(arcs)}
+    capacities = [arc.capacity for arc in arcs]
+    menus, amounts = [], []
+    for (i, j) in demands.commodities():
+        options = all_simple_paths(arcs, i, j, path_cap)
+        if not options:
+            return math.inf
+        menus.append([tuple(index[arc] for arc in path) for path in options])
+        amounts.append(demands.get(i, j))
+    best = math.inf
+    for assignment in itertools.product(*menus):
+        loads: dict[int, float] = {}
+        for amount, path in zip(amounts, assignment):
+            for k in path:
+                loads[k] = loads.get(k, 0.0) + amount
+        best = min(best, max((load / capacities[k] for k, load in loads.items()), default=0.0))
+    return best
 
 
 def segregated_matching_cost(net: HybridNetwork, demands: DemandMatrix, matching: Matching) -> float:

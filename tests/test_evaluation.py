@@ -15,6 +15,7 @@ from reconfnet.errors import (
 from reconfnet.evaluation import (
     EvalSpec,
     RoutingModel,
+    _enumerate_matchings,
     brute_force_opt,
     eval_matching,
     solve_single_commodity_uniform,
@@ -27,6 +28,7 @@ from .conftest import random_instance, single_commodity_uniform_instance
 from .oracles import (
     enumerate_matchings,
     exhaustive_ss_opt,
+    exhaustive_unsplittable_congestion,
     path_lp_congestion,
     segregated_matching_cost,
 )
@@ -222,3 +224,39 @@ def test_brute_force_unsplittable_exhausts_assignments() -> None:
     assert report.max_load == pytest.approx(1.0, abs=1e-9)
     _, sn_report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.UN))
     assert sn_report.max_load == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, expected", [(4, 3), (5, 15), (6, 15), (8, 105)])
+def test_maximal_enumeration_of_complete_graph(n, expected) -> None:
+    # maximal matchings of K_n: perfect for even n, near-perfect for odd n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    maximal = list(_enumerate_matchings(pairs, maximal_only=True))
+    assert len(maximal) == expected
+    assert all(len(m) == n // 2 for m in maximal)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_force_sn_pruning_keeps_the_optimum(seed) -> None:
+    # the oracle prices maximal matchings only; the reference prices every one
+    net, demands = random_instance(seed, n_max=6)
+    every = [
+        path_lp_congestion(list(net.static_arcs()) + list(matching.arcs(net)), demands)
+        for matching in enumerate_matchings([(l.u, l.v) for l in net.reconf_links])
+    ]
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN), node_limit=6)
+    assert report.max_load == pytest.approx(min(every), abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_force_un_pruning_keeps_the_optimum(seed) -> None:
+    net, full = random_instance(seed, n_max=6)
+    # two commodities keep the path-assignment space of every matching small
+    demands = DemandMatrix(dict(list(full.entries.items())[:2]))
+    every = [
+        exhaustive_unsplittable_congestion(
+            list(net.static_arcs()) + list(matching.arcs(net)), demands
+        )
+        for matching in enumerate_matchings([(l.u, l.v) for l in net.reconf_links])
+    ]
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.UN), node_limit=6)
+    assert report.max_load == pytest.approx(min(every), abs=1e-9)

@@ -244,36 +244,3 @@ def test_lp_dump_is_parseable_text(tmp_path, path_net) -> None:
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
     assert "z_0_2" in text
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_crash_basis_matches_cold_start(seed) -> None:
-    # the warm start must change nothing but the pivot path
-    from reconfnet.lp.builder import crash_basis
-    from reconfnet.lp.linprog import solve_simplex
-
-    net, demands = random_instance(seed, n_max=9)
-    problem = build_mcrn_lp(net, demands)
-    if problem.trivially_optimal:
-        return
-    hint = crash_basis(problem)
-    warm = solve_simplex(problem.lp, basis_hint=hint)
-    cold = solve_simplex(problem.lp, basis_hint=None)
-    assert warm.status == cold.status
-    if warm.status is LpStatus.OPTIMAL:
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-8, rel=1e-8)
-
-
-def test_crash_basis_skips_phase_one_on_connected_instances() -> None:
-    from reconfnet.lp.builder import crash_basis
-
-    net, demands = random_instance(2, n_max=9)
-    problem = build_mcrn_lp(net, demands)
-    hint = crash_basis(problem)
-    assert hint is not None
-    # every row without a natural slack (conservation and demand rows) is covered
-    from reconfnet.lp.linprog import EQ, GE
-
-    for idx, row in enumerate(problem.lp.rows):
-        if row.sense in (EQ, GE) and row.rhs >= 0:
-            assert idx in hint

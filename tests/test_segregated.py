@@ -55,6 +55,23 @@ def test_round_keeps_matching_valid_under_degree_bound(path_net) -> None:
     assert round_matching(solution) == Matching([(0, 1)])
 
 
+@pytest.mark.parametrize(
+    "z01, z02, expected",
+    [
+        # both one ulp above one half: the node-0 degree is 1 + 2 ulp, inside
+        # the degree check's tolerance, yet the two pairs are not a matching
+        (math.nextafter(0.5, 1.0), math.nextafter(0.5, 1.0), (0, 1)),
+        (0.5 + 1e-12, 0.5 + 2e-12, (0, 2)),  # the larger indicator wins the node
+    ],
+)
+def test_round_takes_one_pair_per_node_within_degree_tolerance(
+    path_net, z01, z02, expected
+) -> None:
+    demands = DemandMatrix({(0, 1): 1, (0, 2): 1})
+    solution = _solution(path_net, demands, {(0, 1): z01, (0, 2): z02}, {(0, 1): {}, (0, 2): {}})
+    assert round_matching(solution) == Matching([expected])
+
+
 def test_rescale_divides_by_one_minus_z(path_net) -> None:
     demands = DemandMatrix({(0, 2): 3})
     a01 = path_net.static_arcs()[0]
