@@ -17,6 +17,7 @@ from .errors import (
     InstanceTooLargeError,
     InvalidDegreeError,
     ReconfNetError,
+    TopologyParseError,
     TraceParseError,
 )
 from .evaluation import (
@@ -40,8 +41,8 @@ from .model import (
     DemandStructure,
     Matching,
     classify_demands,
+    ensure_valid,
     read_topology,
-    TopologyParseError,
 )
 from .segregated import solve_single_source_ss, solve_ss, solve_us
 from .workloads import gen_k_regular, gen_pfabric_demands, load_trace
@@ -150,6 +151,7 @@ def _parse_path_limit(raw: str) -> int | None:
 def _cmd_solve(args) -> int:
     net = read_topology(args.topology, default_reconf_capacity=args.default_reconf_capacity)
     demands, _summary = load_trace(args.demands, remap=False)
+    ensure_valid(net, demands)
     routing = RoutingModel(args.routing)
     spec = EvalSpec(
         routing=routing,

@@ -24,6 +24,11 @@ class NonConservedFlowError(ReconfNetError):
     """Flow conservation is violated at an interior node."""
 
 
+class InvalidDemandError(ReconfNetError, ValueError):
+    """A demand is a self-demand, negative, not finite, or has an endpoint
+    outside the network."""
+
+
 class InfeasibleDemandError(ReconfNetError):
     """A positive demand has no route of positive capacity."""
 
@@ -62,6 +67,15 @@ class TraceParseError(ReconfNetError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class TopologyParseError(ReconfNetError, ValueError):
+    """A topology file has a malformed record or a node id outside its
+    ``# nodes=N`` header."""
+
+    def __init__(self, line_no: int, line: str, reason: str = "malformed topology record"):
+        self.line_no = line_no
+        super().__init__(f"{reason} at line {line_no}: {line!r}")
 
 
 class EmptyRecordSetError(ReconfNetError):

@@ -16,7 +16,7 @@ from .errors import (
     NonUniformCapacitiesError,
     NotSingleCommodityError,
 )
-from .lp import build_mcmf_lp, decompose_commodity, scale_paths_to, solve_lp, solver_noise
+from .lp import build_mcmf_lp, scale_paths_to, solve_lp, solver_noise
 from .lp.linprog import EQ, LE, LinearProgram, LpStatus, solve_simplex
 from .maxflow import max_flow_with_matching
 from .model import (
@@ -33,7 +33,6 @@ from .model import (
     pair_key,
 )
 from .paths import all_simple_paths, k_shortest_paths
-from .segregated import default_trials
 
 
 class RoutingModel(Enum):
@@ -73,7 +72,13 @@ class EvalSpec:
             raise ValueError("path_limit must be at least 1 when finite")
 
 
-def _offload_paths(
+def default_trials(net: HybridNetwork) -> int:
+    """Rounds of randomized path rounding: ceil(log2 m) + 3 for m static links."""
+    m = max(len(net.static_links), 2)
+    return int(math.ceil(math.log2(m))) + 3
+
+
+def offload_paths(
     net: HybridNetwork, demands: DemandMatrix, matching: Matching
 ) -> tuple[list[FlowPath], DemandMatrix]:
     """Matched demands ride their own link; the rest become residual."""
@@ -85,14 +90,15 @@ def _offload_paths(
     return paths, residual
 
 
-def _allowed_arcs(
-    net: HybridNetwork, matching: Matching, segregated: bool
-) -> tuple[DirectedLink, ...]:
+def _residual_problem(
+    net: HybridNetwork, demands: DemandMatrix, matching: Matching, segregated: bool
+) -> tuple[list[FlowPath], DemandMatrix, tuple[DirectedLink, ...]]:
+    """Offloaded paths, the demands left to route, and the arcs they may use."""
+    static = tuple(a for a in net.static_arcs() if a.capacity > 0)
     if segregated:
-        return tuple(a for a in net.static_arcs() if a.capacity > 0)
-    arcs = [a for a in net.static_arcs() if a.capacity > 0]
-    arcs.extend(a for a in matching.arcs(net) if a.capacity > 0)
-    return tuple(arcs)
+        fixed, residual = offload_paths(net, demands, matching)
+        return fixed, residual, static
+    return [], demands, static + tuple(a for a in matching.arcs(net) if a.capacity > 0)
 
 
 def _restricted_path_lp(
@@ -153,20 +159,15 @@ def _restricted_path_lp(
 
 def _route_splittable_exact(
     arcs: tuple[DirectedLink, ...], residual: DemandMatrix
-) -> list[FlowPath] | None:
+) -> dict[tuple[NodeId, NodeId], list[FlowPath]] | None:
+    """Min-congestion split over every path; None when infeasible."""
     solution = solve_lp(build_mcmf_lp(arcs, residual))
     if not solution.optimal:
         return None
-    paths: list[FlowPath] = []
-    noise = solver_noise(solution.problem.demand_scale)
-    for commodity in residual.commodities():
-        commodity_paths, _cycles = decompose_commodity(
-            commodity, solution.flows.get(commodity, {}), noise=noise
-        )
-        paths.extend(
-            scale_paths_to(commodity_paths, residual.get(*commodity), slack=noise)
-        )
-    return paths
+    return {
+        commodity: solution.paths(commodity, residual.get(*commodity))
+        for commodity in residual.commodities()
+    }
 
 
 def _best_rounding(
@@ -177,7 +178,7 @@ def _best_rounding(
     fixed: list[FlowPath],
     trials: int,
     seed: int,
-) -> tuple[Flow, CongestionReport]:
+) -> Flow:
     rng = np.random.default_rng(seed)
     ordered = sorted(menus)
     best: tuple[Flow, CongestionReport] | None = None
@@ -194,7 +195,7 @@ def _best_rounding(
         if best is None or report.max_load < best[1].max_load:
             best = (flow, report)
     assert best is not None
-    return best
+    return best[0]
 
 
 def eval_matching(
@@ -223,33 +224,12 @@ def route_matching(
     spec: EvalSpec,
 ) -> Flow | None:
     """The flow realizing eval_matching, or None when no routing exists."""
-    if spec.routing.segregated:
-        fixed, residual = _offload_paths(net, demands, matching)
-    else:
-        fixed, residual = [], demands
-    arcs = _allowed_arcs(net, matching, spec.routing.segregated)
+    fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
     if residual.is_empty:
         return Flow.from_paths(fixed)
 
-    if spec.routing.splittable:
-        if spec.path_limit is None:
-            routed = _route_splittable_exact(arcs, residual)
-            if routed is None:
-                return None
-            return Flow.from_paths(fixed + routed)
-        menus = {
-            commodity: k_shortest_paths(arcs, commodity[0], commodity[1], spec.path_limit)
-            for commodity in residual.commodities()
-        }
-        split = _restricted_path_lp(menus, residual)
-        if split is None:
-            return None
-        routed = [p for commodity in sorted(split) for p in split[commodity]]
-        return Flow.from_paths(fixed + routed)
-
-    # unsplittable
-    if spec.path_limit == 1:
+    if not spec.routing.splittable and spec.path_limit == 1:
         sampled: list[FlowPath] = list(fixed)
         for commodity in residual.commodities():
             menu = k_shortest_paths(arcs, commodity[0], commodity[1], 1)
@@ -259,30 +239,24 @@ def route_matching(
         return Flow.from_paths(sampled)
 
     if spec.path_limit is None:
-        routed = _route_splittable_exact(arcs, residual)
-        if routed is None:
-            return None
-        menus: dict[tuple[NodeId, NodeId], list[FlowPath]] = {}
-        for commodity, arcs_seq, amount in routed:
-            menus.setdefault(commodity, []).append((commodity, arcs_seq, amount))
+        menus = _route_splittable_exact(arcs, residual)
     else:
         shortest = {
             commodity: k_shortest_paths(arcs, commodity[0], commodity[1], spec.path_limit)
             for commodity in residual.commodities()
         }
         menus = _restricted_path_lp(shortest, residual)
-        if menus is None:
-            return None
-        menus = {c: [p for p in paths if p[2] > 0] for c, paths in menus.items()}
-        for commodity, paths in menus.items():
-            if not paths:
-                return None
+    if menus is None:
+        return None
+    if spec.routing.splittable:
+        return Flow.from_paths(fixed + [p for commodity in sorted(menus) for p in menus[commodity]])
 
+    # unsplittable: each commodity takes one path of its optimal split
+    menus = {c: [p for p in paths if p[2] > 0] for c, paths in menus.items()}
+    if not all(menus.values()):
+        return None
     trials = spec.trials if spec.trials is not None else default_trials(net)
-    flow, _report = _best_rounding(
-        menus, residual, net, matching, fixed, trials, spec.seed
-    )
-    return flow
+    return _best_rounding(menus, residual, net, matching, fixed, trials, spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +375,7 @@ def _exact_matching_cost(
     if spec.routing.splittable:
         return eval_matching(net, demands, matching, EvalSpec(routing=spec.routing))
 
-    if spec.routing.segregated:
-        fixed, residual = _offload_paths(net, demands, matching)
-    else:
-        fixed, residual = [], demands
-    arcs = _allowed_arcs(net, matching, spec.routing.segregated)
+    fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
     menus: list[tuple[tuple[NodeId, NodeId], list[tuple[DirectedLink, ...]]]] = []
     budget = _PATH_ASSIGNMENT_BUDGET

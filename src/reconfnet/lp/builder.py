@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import NumericalFailureError
-from ..model import DemandMatrix, DirectedLink, HybridNetwork, NodeId, pair_key
+from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId, pair_key
+from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .linprog import EQ, GE, LE, LinearProgram, LpStatus, SimplexResult, solve_simplex
 
 RESIDUAL_TOL = 1e-7
@@ -71,6 +72,17 @@ class LpSolution:
     def optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
 
+    def paths(
+        self, commodity: tuple[NodeId, NodeId], target: float, factor: float = 1.0
+    ) -> list[FlowPath]:
+        """The commodity's flow times ``factor`` as simple paths carrying
+        exactly ``target`` (the LP's demand row is one-sided, so slight
+        over-delivery is possible and must not leak into the flow)."""
+        links = {arc: value * factor for arc, value in self.flows.get(commodity, {}).items()}
+        noise = solver_noise(self.problem.demand_scale)
+        paths, _cycles = decompose_commodity(commodity, links, noise=noise)
+        return scale_paths_to(paths, target, slack=noise)
+
 
 def _positive_arcs(arcs: Sequence[DirectedLink]) -> tuple[DirectedLink, ...]:
     return tuple(a for a in arcs if a.capacity > 0)
@@ -85,10 +97,6 @@ def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
     indicator-capacity row; and per node a degree row capping the incident
     indicators at one.
     """
-    arcs = _positive_arcs(net.static_arcs())
-    commodities = demands.commodities()
-    scale = demands.max_demand() or 1.0
-
     z_pairs = []
     for i, j in demands.positive_pairs():
         usable = True
@@ -97,8 +105,38 @@ def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
                 usable = False  # offloading would route demand onto a dead link
         if usable:
             z_pairs.append((i, j))
-    z_pairs = tuple(z_pairs)
+    return _build(_positive_arcs(net.static_arcs()), net.n, demands, tuple(z_pairs), net)
 
+
+def build_mcmf_lp(
+    net_or_arcs: HybridNetwork | Sequence[DirectedLink], demands: DemandMatrix
+) -> LpProblem:
+    """Plain min-congestion multicommodity-flow LP (no matching indicators).
+
+    Accepts either a network (static arcs are used) or an explicit arc set,
+    so reconfigured networks can be evaluated by passing their arcs.
+    """
+    if isinstance(net_or_arcs, HybridNetwork):
+        arcs = _positive_arcs(net_or_arcs.static_arcs())
+        return _build(arcs, net_or_arcs.n, demands, (), net_or_arcs)
+    arcs = _positive_arcs(tuple(net_or_arcs))
+    n_nodes = max((max(a.tail, a.head) for a in arcs), default=-1) + 1
+    for i, j in demands.commodities():
+        n_nodes = max(n_nodes, i + 1, j + 1)
+    return _build(arcs, n_nodes, demands, (), None)
+
+
+def _build(
+    arcs: tuple[DirectedLink, ...],
+    n_nodes: int,
+    demands: DemandMatrix,
+    z_pairs: tuple[tuple[NodeId, NodeId], ...],
+    net: HybridNetwork | None,
+) -> LpProblem:
+    """Conservation and capacity rows for every commodity, plus the
+    indicator rows (which read ``net``) when ``z_pairs`` is non-empty."""
+    commodities = demands.commodities()
+    scale = demands.max_demand() or 1.0
     problem = LpProblem(
         lp=LinearProgram(num_vars=1 + len(commodities) * len(arcs) + len(z_pairs)),
         arcs=arcs,
@@ -123,7 +161,7 @@ def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
 
     for ci, (i, j) in enumerate(commodities):
         d = demands.get(i, j) / scale
-        for v in range(net.n):
+        for v in range(n_nodes):
             if v == j:
                 continue  # sink row is implied by the others
             coeffs: dict[int, float] = {}
@@ -171,70 +209,6 @@ def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
 
     for pair, k in z_index.items():
         lp.add_row({problem.z_var(k): 1.0}, LE, 1.0, f"zub:{pair}")
-
-    return problem
-
-
-def build_mcmf_lp(
-    net_or_arcs: HybridNetwork | Sequence[DirectedLink], demands: DemandMatrix
-) -> LpProblem:
-    """Plain min-congestion multicommodity-flow LP (no matching indicators).
-
-    Accepts either a network (static arcs are used) or an explicit arc set,
-    so reconfigured networks can be evaluated by passing their arcs.
-    """
-    source_net: HybridNetwork | None = None
-    if isinstance(net_or_arcs, HybridNetwork):
-        source_net = net_or_arcs
-        arcs = _positive_arcs(net_or_arcs.static_arcs())
-        n_nodes = net_or_arcs.n
-    else:
-        arcs = _positive_arcs(tuple(net_or_arcs))
-        n_nodes = max((max(a.tail, a.head) for a in arcs), default=-1) + 1
-        for i, j in demands.commodities():
-            n_nodes = max(n_nodes, i + 1, j + 1)
-
-    commodities = demands.commodities()
-    scale = demands.max_demand() or 1.0
-    problem = LpProblem(
-        lp=LinearProgram(num_vars=1 + len(commodities) * len(arcs)),
-        arcs=arcs,
-        commodities=commodities,
-        z_pairs=(),
-        demands=demands,
-        demand_scale=scale,
-        net=source_net,
-    )
-    if problem.trivially_optimal:
-        return problem
-
-    lp = problem.lp
-    lp.objective = {0: 1.0}
-    out_arcs: dict[NodeId, list[int]] = {}
-    in_arcs: dict[NodeId, list[int]] = {}
-    for ai, arc in enumerate(arcs):
-        out_arcs.setdefault(arc.tail, []).append(ai)
-        in_arcs.setdefault(arc.head, []).append(ai)
-
-    for ci, (i, j) in enumerate(commodities):
-        d = demands.get(i, j) / scale
-        for v in range(n_nodes):
-            if v == j:
-                continue
-            coeffs = {}
-            for ai in out_arcs.get(v, ()):
-                coeffs[problem.flow_var(ci, ai)] = 1.0
-            for ai in in_arcs.get(v, ()):
-                coeffs[problem.flow_var(ci, ai)] = -1.0
-            if v == i:
-                lp.add_row(coeffs, GE, d, f"dem:{i}->{j}")
-            elif coeffs:
-                lp.add_row(coeffs, EQ, 0.0, f"con:{i}->{j}@{v}")
-
-    for ai, arc in enumerate(arcs):
-        coeffs = {problem.flow_var(ci, ai): 1.0 / arc.capacity for ci in range(len(commodities))}
-        coeffs[0] = -1.0
-        lp.add_row(coeffs, LE, 0.0, f"cap:{ai}")
 
     return problem
 

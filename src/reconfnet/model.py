@@ -15,8 +15,10 @@ from typing import Iterable, Mapping
 
 from .errors import (
     FlowOnUnselectedLinkError,
+    InvalidDemandError,
     InvalidNetworkError,
     NonConservedFlowError,
+    TopologyParseError,
 )
 
 NodeId = int
@@ -204,10 +206,15 @@ def validate_network(net: HybridNetwork) -> ValidationResult:
     return ValidationResult(tuple(issues))
 
 
-def ensure_valid(net: HybridNetwork) -> None:
+def ensure_valid(net: HybridNetwork, demands: DemandMatrix) -> None:
+    """Raise unless the network is valid and every demand endpoint is one of
+    its nodes."""
     result = validate_network(net)
     if not result.ok:
         raise InvalidNetworkError(result.issues)
+    for i, j in demands.commodities():
+        if not (0 <= i < net.n and 0 <= j < net.n):
+            raise InvalidDemandError(f"demand ({i}, {j}) has an endpoint outside [0, {net.n})")
 
 
 class DemandStructure(Enum):
@@ -224,15 +231,18 @@ class DemandClassification:
 
 
 class DemandMatrix:
-    """Nonnegative demand per ordered node pair; zero entries are dropped."""
+    """Finite nonnegative demand per ordered node pair; zero entries are
+    dropped."""
 
     def __init__(self, entries: Mapping[tuple[NodeId, NodeId], float]):
         cleaned: dict[tuple[NodeId, NodeId], float] = {}
         for (i, j), d in entries.items():
             if i == j:
-                raise ValueError(f"self-demand at node {i}")
+                raise InvalidDemandError(f"self-demand at node {i}")
+            if not math.isfinite(d):
+                raise InvalidDemandError(f"non-finite demand {d} for ({i}, {j})")
             if d < 0:
-                raise ValueError(f"negative demand for ({i}, {j})")
+                raise InvalidDemandError(f"negative demand for ({i}, {j})")
             if d > 0:
                 cleaned[(i, j)] = float(d)
         self._entries = dict(sorted(cleaned.items()))
@@ -327,6 +337,7 @@ class Matching:
             nodes.add(i)
             nodes.add(j)
         self._pairs = tuple(canon)
+        self._pair_set = frozenset(canon)
         self._nodes = frozenset(nodes)
 
     @property
@@ -338,7 +349,7 @@ class Matching:
         return self._nodes
 
     def __contains__(self, pair: tuple[NodeId, NodeId]) -> bool:
-        return pair_key(*pair) in set(self._pairs)
+        return pair_key(*pair) in self._pair_set
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -479,10 +490,12 @@ def infinite_congestion() -> CongestionReport:
 
 
 # ---------------------------------------------------------------------------
-# Topology file format: one record per bidirected link,
+# Topology file format: an optional ``# nodes=N`` header, then one record
+# per bidirected link,
 #   kind tail head cap_forward cap_backward      (kind S or R)
-# with '#' comment lines.  Reconfigurable pairs omitted from the file default
-# to a configured capacity so the candidate set stays complete.
+# with '#' comment lines.  Without the header the node count is one more than
+# the largest id.  Reconfigurable pairs omitted from the file default to a
+# configured capacity so the candidate set stays complete.
 # ---------------------------------------------------------------------------
 
 
@@ -499,11 +512,20 @@ def write_topology(net: HybridNetwork, path) -> None:
 def read_topology(path, default_reconf_capacity: float = 1.0) -> HybridNetwork:
     static: list[tuple[int, int, float, float]] = []
     overrides: dict[tuple[int, int], tuple[float, float]] = {}
-    max_node = -1
+    header_nodes: int | None = None
+    max_node, max_record = -1, (0, "")
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition("=")
+                if sep and key.strip() == "nodes":
+                    try:
+                        header_nodes = int(value)
+                    except ValueError as exc:
+                        raise TopologyParseError(line_no, line) from exc
+                continue
+            if not line:
                 continue
             parts = line.split()
             if len(parts) != 5 or parts[0] not in ("S", "R"):
@@ -514,19 +536,18 @@ def read_topology(path, default_reconf_capacity: float = 1.0) -> HybridNetwork:
                 cf, cb = float(cf_s), float(cb_s)
             except ValueError as exc:
                 raise TopologyParseError(line_no, line) from exc
-            max_node = max(max_node, u, v)
+            if max(u, v) > max_node:
+                max_node, max_record = max(u, v), (line_no, line)
             if kind == "S":
                 static.append((u, v, cf, cb))
             else:
                 key = pair_key(u, v)
                 overrides[key] = (cf, cb) if u < v else (cb, cf)
-    n = max_node + 1
+    n = max_node + 1 if header_nodes is None else header_nodes
+    if max_node >= n:
+        raise TopologyParseError(
+            *max_record, reason=f"node {max_node} outside the header's {n} nodes"
+        )
     return HybridNetwork.build(
         n, static, reconf_default=default_reconf_capacity, reconf_overrides=overrides
     )
-
-
-class TopologyParseError(ValueError):
-    def __init__(self, line_no: int, line: str):
-        self.line_no = line_no
-        super().__init__(f"malformed topology record at line {line_no}: {line!r}")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from reconfnet.cli import EXIT_CAPABILITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from reconfnet.model import read_topology
 from reconfnet.workloads import load_trace
@@ -272,3 +274,25 @@ def test_solve_mc_nonsegregated_scores_under_requested_model(tmp_path, capsys) -
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["congestion"] >= 0
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("0,9,1\n", "outside"), ("0,1,nan\n", "non-finite"), ("0,1,inf\n", "non-finite")],
+    ids=["endpoint", "nan", "inf"],
+)
+def test_solve_rejects_bad_demand_with_usage_exit(tmp_path, capsys, rows, message) -> None:
+    code, topo, dem, _ = _generate(tmp_path, capsys)
+    dem.write_text("i,j,demand\n" + rows)
+    code = main(
+        [
+            "solve",
+            "--topology", str(topo),
+            "--demands", str(dem),
+            "--routing", "sn",
+            "--algo", "greedy",
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

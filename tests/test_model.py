@@ -6,7 +6,13 @@ import math
 
 import pytest
 
-from reconfnet.errors import FlowOnUnselectedLinkError, NonConservedFlowError
+from reconfnet.errors import (
+    FlowOnUnselectedLinkError,
+    InvalidDemandError,
+    NonConservedFlowError,
+    ReconfNetError,
+    TopologyParseError,
+)
 from reconfnet.model import (
     DemandMatrix,
     DemandStructure,
@@ -184,3 +190,25 @@ def test_topology_reader_fills_missing_reconf_pairs(tmp_path) -> None:
     assert net.reconf_capacity(2, 0) == 6.0
     assert net.reconf_capacity(0, 1) == 2.5
     assert validate_network(net).ok
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_demand_matrix_rejects_non_finite(value) -> None:
+    with pytest.raises(InvalidDemandError, match="non-finite"):
+        DemandMatrix({(0, 3): value, (1, 2): 1})
+
+
+def test_topology_reader_honours_nodes_header(tmp_path) -> None:
+    path = tmp_path / "topo.txt"
+    path.write_text("# nodes=5\nS 0 1 1 1\n")
+    net = read_topology(path)
+    assert net.n == 5
+    assert validate_network(net).ok
+
+
+def test_topology_reader_rejects_node_beyond_header(tmp_path) -> None:
+    path = tmp_path / "topo.txt"
+    path.write_text("# nodes=3\nS 0 1 1 1\nR 1 3 2 2\n")
+    with pytest.raises(TopologyParseError, match="line 3") as caught:
+        read_topology(path)
+    assert isinstance(caught.value, ReconfNetError)

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from reconfnet.errors import NotSingleSourceError
-from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt
+from reconfnet.errors import InvalidDemandError, NotSingleSourceError
+from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt, eval_matching
 from reconfnet.lp import LpStatus, build_mcrn_lp
 from reconfnet.lp.builder import LpSolution
 from reconfnet.model import (
@@ -25,6 +25,7 @@ from reconfnet.segregated import (
     solve_ss,
     solve_us,
 )
+from reconfnet.workloads import gen_k_regular
 
 from .conftest import random_instance, single_source_instance
 from .oracles import exhaustive_ss_opt, segregated_matching_cost
@@ -274,3 +275,29 @@ def test_matching_cost_helper_agrees_with_solver_output(path_net) -> None:
     result = solve_ss(path_net, demands)
     priced = segregated_matching_cost(path_net, demands, result.matching)
     assert result.max_load >= priced - 1e-9  # solver flow cannot beat exact pricing
+
+
+@pytest.mark.parametrize("solver", [solve_ss, solve_single_source_ss])
+def test_solvers_reject_demand_endpoint_outside_network(solver) -> None:
+    net = gen_k_regular(6, 3, seed=1)
+    with pytest.raises(InvalidDemandError, match=r"\(0, 9\)"):
+        solver(net, DemandMatrix({(0, 9): 1}))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_us_agrees_with_us_evaluation_of_its_matching(seed) -> None:
+    # stage 2 of solve_us is route_matching under us: same trials, same seed,
+    # same load
+    net, demands = random_instance(seed, n_max=10)
+    trials = 2 + seed % 3
+    result = solve_us(net, demands, trials=trials, seed=seed)
+    spec = EvalSpec(routing=RoutingModel.US, trials=trials, seed=seed)
+    assert eval_matching(net, demands, result.matching, spec).max_load == result.max_load
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_single_source_agrees_with_ss_evaluation_of_its_matching(seed) -> None:
+    net, demands = single_source_instance(seed, n_max=8)
+    result = solve_single_source_ss(net, demands)
+    spec = EvalSpec(routing=RoutingModel.SS)
+    assert eval_matching(net, demands, result.matching, spec).max_load == result.max_load
