@@ -236,7 +236,7 @@ def _solve_exact(net, demands, spec: EvalSpec):
     if (
         not spec.routing.segregated
         and klass.structure is DemandStructure.SINGLE_COMMODITY
-        and len({a.capacity for a in net.all_arcs()}) == 1
+        and len(net.capacities()) == 1
         and net.c_max > 0
     ):
         return solve_single_commodity_uniform(net, demands)

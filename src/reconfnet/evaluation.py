@@ -296,7 +296,7 @@ def solve_single_commodity_uniform(
 
 
 def _uniform_capacity(net: HybridNetwork) -> float:
-    capacities = {a.capacity for a in net.all_arcs()}
+    capacities = net.capacities()
     if len(capacities) != 1:
         raise NonUniformCapacitiesError(f"capacities are not uniform: {sorted(capacities)}")
     value = capacities.pop()
@@ -333,7 +333,7 @@ def brute_force_opt(
     if spec.routing.segregated:
         base_pairs = list(demands.positive_pairs())
     else:
-        base_pairs = [(l.u, l.v) for l in net.reconf_links]
+        base_pairs = list(itertools.combinations(range(net.n), 2))
 
     best: tuple[Matching, CongestionReport] | None = None
     for matching in _enumerate_matchings(base_pairs, maximal_only=not spec.routing.segregated):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from .baselines import greedy_matching, max_weight_matching, oblivious
 from .errors import EmptyRecordSetError
 from .evaluation import EvalSpec, RoutingModel, eval_matching
-from .model import DemandMatrix, HybridNetwork, write_topology
+from .model import DemandMatrix, HybridNetwork, topology_records, write_topology
 from .segregated import solve_ss, solve_us
 from .workloads import SizeDistribution, WorkloadConfig, build_instance, write_demands
 
@@ -128,10 +128,7 @@ class RunRecord:
 def instance_hash(net: HybridNetwork, demands: DemandMatrix) -> str:
     """Stable digest of the serialized instance all algorithms consume."""
     topo = io.StringIO()
-    for link in net.static_links:
-        topo.write(f"S {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}\n")
-    for link in net.reconf_links:
-        topo.write(f"R {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}\n")
+    topo.writelines(record + "\n" for record in topology_records(net))
     for (i, j), d in sorted(demands.entries.items()):
         topo.write(f"D {i} {j} {d:.12g}\n")
     return hashlib.sha256(topo.getvalue().encode()).hexdigest()[:16]

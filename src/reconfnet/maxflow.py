@@ -6,8 +6,6 @@ direction), which keeps augmenting-path flows integral and exact.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .model import HybridNetwork, Matching, NodeId
 
 
@@ -17,50 +15,26 @@ def edmonds_karp(
     """Max s-t flow on an integer-capacity digraph given as nested dicts.
 
     Returns the flow value and the units sent on each arc that carries any.
+    Runs scipy's Edmonds-Karp. The method is fixed because the augmenting
+    order decides which maximum flow, and so which matching, comes back.
     """
-    residual: dict[int, dict[int, int]] = {}
-    original: dict[int, dict[int, int]] = {}
-    for u, row in capacity.items():
-        for v, cap in row.items():
-            if cap <= 0:
-                continue
-            residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, 0) + cap
-            residual.setdefault(v, {}).setdefault(u, 0)
-            original.setdefault(u, {})[v] = original.get(u, {}).get(v, 0) + cap
-    flow = 0
-    while True:
-        parent: dict[int, int] = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in sorted(residual.get(u, {})):
-                if v not in parent and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            break
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            r = residual[u][v]
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-            v = u
-        flow += bottleneck
+    import numpy as np
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
 
+    arcs = np.array(
+        [(u, v, cap) for u, row in capacity.items() for v, cap in row.items() if cap > 0],
+        dtype=np.int32,
+    ).reshape(-1, 3)
+    size = 1 + max(s, t, int(arcs[:, :2].max(initial=0)))
+    graph = csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(size, size))
+    result = maximum_flow(graph, s, t, method="edmonds_karp")
+    flow = result.flow.tocoo()
     sent: dict[int, dict[int, int]] = {}
-    for u, row in original.items():
-        for v, cap in row.items():
-            used = cap - residual[u][v]
-            if used > 0:
-                sent.setdefault(u, {})[v] = used
-    return flow, sent
+    for u, v, units in zip(flow.row.tolist(), flow.col.tolist(), flow.data.tolist()):
+        if units > 0:
+            sent.setdefault(u, {})[v] = units
+    return int(result.flow_value), sent
 
 
 def static_unit_capacities(net: HybridNetwork) -> dict[int, dict[int, int]]:

@@ -8,10 +8,11 @@ anti-parallel directed links, each with its own capacity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     FlowOnUnselectedLinkError,
@@ -101,18 +102,19 @@ def pair_key(i: NodeId, j: NodeId) -> tuple[NodeId, NodeId]:
 class HybridNetwork:
     """Static topology plus the complete candidate set of reconfigurable links.
 
+    Every node pair is a candidate.  A pair has ``reconf_default`` capacity in
+    both directions unless ``reconf_overrides`` lists it: a sorted tuple of
+    ``((i, j), (cap i->j, cap j->i))`` with i < j, best made by ``build``.
     Immutable after construction; safe to share across workers.
     """
 
     n: int
     static_links: tuple[StaticLink, ...]
-    reconf_links: tuple[ReconfLink, ...]
+    reconf_default: float = 1.0
+    reconf_overrides: tuple[tuple[tuple[NodeId, NodeId], tuple[float, float]], ...] = ()
 
     def __post_init__(self) -> None:
-        lookup = {}
-        for link in self.reconf_links:
-            lookup[(link.u, link.v)] = link
-        object.__setattr__(self, "_reconf_by_pair", lookup)
+        object.__setattr__(self, "_override_by_pair", dict(self.reconf_overrides))
         arcs = []
         for idx, link in enumerate(self.static_links):
             arcs.append(DirectedLink(link.u, link.v, LinkKind.STATIC, link.cap_uv, idx))
@@ -129,46 +131,76 @@ class HybridNetwork:
     ) -> "HybridNetwork":
         """Assemble a network with the complete reconfigurable candidate set.
 
-        ``reconf_overrides`` maps unordered pairs (i, j) with i < j to
-        (cap i->j, cap j->i); every other pair gets ``reconf_default`` in both
-        directions.
+        ``reconf_overrides`` maps a pair (i, j) to (cap i->j, cap j->i); a key
+        given as (j, i) with j > i is stored as (i, j) with its capacities
+        swapped.  Every other pair gets ``reconf_default`` in both directions.
         """
         static_links = tuple(StaticLink(u, v, cf, cb) for u, v, cf, cb in static)
-        overrides = dict(reconf_overrides or {})
-        reconf = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                cf, cb = overrides.get((i, j), (reconf_default, reconf_default))
-                reconf.append(ReconfLink(i, j, cf, cb))
-        return cls(n=n, static_links=static_links, reconf_links=tuple(reconf))
+        overrides: dict[tuple[NodeId, NodeId], tuple[float, float]] = {}
+        for (i, j), (cf, cb) in (reconf_overrides or {}).items():
+            overrides[pair_key(i, j)] = (cf, cb) if i <= j else (cb, cf)
+        return cls(n, static_links, reconf_default, tuple(sorted(overrides.items())))
+
+    @property
+    def reconf_links(self) -> tuple[ReconfLink, ...]:
+        """Every candidate pair as a ``ReconfLink``, in pair order (O(n^2))."""
+        return tuple(
+            ReconfLink(i, j, self.reconf_capacity(i, j), self.reconf_capacity(j, i))
+            for i, j in itertools.combinations(range(self.n), 2)
+        )
 
     def static_arcs(self) -> tuple[DirectedLink, ...]:
         return self._static_arcs  # type: ignore[attr-defined]
 
     def reconf_capacity(self, i: NodeId, j: NodeId) -> float:
         """Capacity of the reconfigurable direction i -> j."""
-        link = self._reconf_by_pair.get(pair_key(i, j))  # type: ignore[attr-defined]
-        if link is None:
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise KeyError(f"no reconfigurable candidate for pair {pair_key(i, j)}")
-        return link.cap_uv if i == link.u else link.cap_vu
+        caps = self._override_by_pair.get(pair_key(i, j))  # type: ignore[attr-defined]
+        if caps is None:
+            return self.reconf_default
+        return caps[0] if i < j else caps[1]
 
     def reconf_arc(self, i: NodeId, j: NodeId) -> DirectedLink:
         return DirectedLink(i, j, LinkKind.RECONFIGURABLE, self.reconf_capacity(i, j), 0)
 
-    def all_arcs(self) -> tuple[DirectedLink, ...]:
-        arcs = list(self.static_arcs())
-        for link in self.reconf_links:
-            arcs.append(DirectedLink(link.u, link.v, LinkKind.RECONFIGURABLE, link.cap_uv, 0))
-            arcs.append(DirectedLink(link.v, link.u, LinkKind.RECONFIGURABLE, link.cap_vu, 0))
-        return tuple(arcs)
+    def uses_default(self) -> bool:
+        """Whether some candidate pair has the default capacity."""
+        return len(self.reconf_overrides) < self.n * (self.n - 1) // 2
+
+    def capacities(self) -> set[float]:
+        """The distinct capacities over every link direction."""
+        caps = {c for link in self.static_links for c in (link.cap_uv, link.cap_vu)}
+        caps.update(c for _, pair_caps in self.reconf_overrides for c in pair_caps)
+        if self.uses_default():
+            caps.add(self.reconf_default)
+        return caps
 
     @property
     def c_max(self) -> float:
-        return max((a.capacity for a in self.all_arcs()), default=0.0)
+        return max(self.capacities(), default=0.0)
 
     @property
     def c_min(self) -> float:
-        return min((a.capacity for a in self.all_arcs()), default=0.0)
+        return min(self.capacities(), default=0.0)
+
+
+def _link_issues(what: str, u: NodeId, v: NodeId, caps: tuple[float, ...], n: int) -> list[ValidationIssue]:
+    issues = []
+    if u == v:
+        issues.append(ValidationIssue("SelfLoop", f"{what} is a self-loop at {u}"))
+    if not (0 <= u < n and 0 <= v < n):
+        issues.append(ValidationIssue("NodeOutOfRange", f"{what} endpoints outside [0, {n})"))
+    issues.extend(_capacity_issues(what, caps))
+    return issues
+
+
+def _capacity_issues(what: str, caps: tuple[float, ...]) -> list[ValidationIssue]:
+    if not all(math.isfinite(c) for c in caps):
+        return [ValidationIssue("NonFiniteCapacity", f"{what} has a non-finite capacity")]
+    if any(c < 0 for c in caps):
+        return [ValidationIssue("NegativeCapacity", f"{what} has a negative capacity")]
+    return []
 
 
 def validate_network(net: HybridNetwork) -> ValidationResult:
@@ -177,32 +209,11 @@ def validate_network(net: HybridNetwork) -> ValidationResult:
     if net.n < 1:
         issues.append(ValidationIssue("EmptyNodeSet", "need at least one node"))
     for idx, link in enumerate(net.static_links):
-        if link.u == link.v:
-            issues.append(ValidationIssue("SelfLoop", f"static link {idx} is a self-loop at {link.u}"))
-        if not (0 <= link.u < net.n and 0 <= link.v < net.n):
-            issues.append(ValidationIssue("NodeOutOfRange", f"static link {idx} endpoints outside [0, {net.n})"))
-        if link.cap_uv < 0 or link.cap_vu < 0:
-            issues.append(ValidationIssue("NegativeCapacity", f"static link {idx} has a negative capacity"))
-    seen_pairs: set[tuple[int, int]] = set()
-    for link in net.reconf_links:
-        key = pair_key(link.u, link.v)
-        if link.u == link.v:
-            issues.append(ValidationIssue("SelfLoop", f"reconfigurable candidate self-loop at {link.u}"))
-            continue
-        if link.u > link.v:
-            issues.append(ValidationIssue("UnnormalizedPair", f"reconfigurable pair {key} stored out of order"))
-        if not (0 <= link.u < net.n and 0 <= link.v < net.n):
-            issues.append(ValidationIssue("NodeOutOfRange", f"reconfigurable pair {key} outside [0, {net.n})"))
-            continue
-        if key in seen_pairs:
-            issues.append(ValidationIssue("DuplicateLink", f"reconfigurable pair {key} listed twice"))
-        seen_pairs.add(key)
-        if link.cap_uv < 0 or link.cap_vu < 0:
-            issues.append(ValidationIssue("NegativeCapacity", f"reconfigurable pair {key} has a negative capacity"))
-    expected = {(i, j) for i in range(net.n) for j in range(i + 1, net.n)}
-    missing = sorted(expected - seen_pairs)
-    for key in missing:
-        issues.append(ValidationIssue("IncompleteReconfigurableSet", f"missing reconfigurable pair {key}"))
+        issues += _link_issues(f"static link {idx}", link.u, link.v, (link.cap_uv, link.cap_vu), net.n)
+    for (i, j), caps in net.reconf_overrides:
+        issues += _link_issues(f"reconfigurable pair ({i}, {j})", i, j, caps, net.n)
+    if net.uses_default():
+        issues += _capacity_issues("the default reconfigurable capacity", (net.reconf_default,))
     return ValidationResult(tuple(issues))
 
 
@@ -494,19 +505,31 @@ def infinite_congestion() -> CongestionReport:
 # per bidirected link,
 #   kind tail head cap_forward cap_backward      (kind S or R)
 # with '#' comment lines.  Without the header the node count is one more than
-# the largest id.  Reconfigurable pairs omitted from the file default to a
-# configured capacity so the candidate set stays complete.
+# the largest id.  An R record overrides one candidate pair (``R j i`` means
+# ``R i j`` with the capacities swapped); pairs without one get a configured
+# default capacity, so the candidate set stays complete.
 # ---------------------------------------------------------------------------
 
 
-def write_topology(net: HybridNetwork, path) -> None:
-    lines = [f"# nodes={net.n}"]
+def topology_records(net: HybridNetwork) -> Iterator[str]:
+    """The S and R record lines of ``net``: static links in order, then every
+    candidate pair in pair order."""
     for link in net.static_links:
-        lines.append(f"S {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}")
-    for link in net.reconf_links:
-        lines.append(f"R {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}")
+        yield f"S {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}"
+    default = f"{net.reconf_default:.12g} {net.reconf_default:.12g}"
+    overrides = dict(net.reconf_overrides)
+    for i, j in itertools.combinations(range(net.n), 2):
+        caps = overrides.get((i, j))
+        if caps is None:
+            yield f"R {i} {j} {default}"
+        else:
+            yield f"R {i} {j} {caps[0]:.12g} {caps[1]:.12g}"
+
+
+def write_topology(net: HybridNetwork, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# nodes={net.n}\n")
+        fh.writelines(record + "\n" for record in topology_records(net))
 
 
 def read_topology(path, default_reconf_capacity: float = 1.0) -> HybridNetwork:
@@ -541,8 +564,8 @@ def read_topology(path, default_reconf_capacity: float = 1.0) -> HybridNetwork:
             if kind == "S":
                 static.append((u, v, cf, cb))
             else:
-                key = pair_key(u, v)
-                overrides[key] = (cf, cb) if u < v else (cb, cf)
+                overrides.pop((v, u), None)  # the later record wins
+                overrides[(u, v)] = (cf, cb)
     n = max_node + 1 if header_nodes is None else header_nodes
     if max_node >= n:
         raise TopologyParseError(

@@ -111,15 +111,3 @@ def all_simple_paths(
         visit(src)
     return out
 
-
-def reachable(arcs: Sequence[DirectedLink], src: NodeId) -> set[NodeId]:
-    adj = adjacency(arcs)
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        node = frontier.pop()
-        for arc in adj.get(node, ()):
-            if arc.head not in seen:
-                seen.add(arc.head)
-                frontier.append(arc.head)
-    return seen

@@ -296,3 +296,19 @@ def test_solve_rejects_bad_demand_with_usage_exit(tmp_path, capsys, rows, messag
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_solve_rejects_bad_link_records_with_usage_exit(tmp_path, capsys) -> None:
+    topo = tmp_path / "topology.txt"
+    topo.write_text("# nodes=4\nS 0 1 inf 1\nS 1 2 1 1\nS 2 3 1 1\nR -1 2 5 5\n")
+    dem = tmp_path / "demands.csv"
+    dem.write_text("i,j,demand\n0,3,1\n")
+    code = main(
+        ["solve", "--topology", str(topo), "--demands", str(dem), "--routing", "ss", "--algo", "mc"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error:")
+    assert "NonFiniteCapacity" in line and "NodeOutOfRange" in line

@@ -8,9 +8,12 @@ import pytest
 
 from reconfnet.errors import EmptyRecordSetError
 from reconfnet.evaluation import EvalSpec, RoutingModel
+from reconfnet.model import DemandMatrix, HybridNetwork
+from reconfnet.workloads import WorkloadConfig, build_instance, gen_k_regular, gen_pfabric_demands
 from reconfnet.harness import (
     ExperimentPlan,
     RunRecord,
+    instance_hash,
     run_plan,
     summarize,
     write_records,
@@ -157,3 +160,22 @@ def test_parallel_workers_match_sequential() -> None:
     parallel = run_plan(plan, workers=2)
     strip = lambda r: (r.algorithm, r.n, r.k, r.seed, f"{r.congestion:.12g}")
     assert [strip(r) for r in sequential] == [strip(r) for r in parallel]
+
+
+def test_instance_hash_is_pinned() -> None:
+    """The digest covers the serialised records; these values must not drift."""
+    assert (
+        instance_hash(gen_k_regular(8, 3, seed=1), gen_pfabric_demands(8, 10, 1.0, seed=2))
+        == "95ef01cf20152f01"
+    )
+    net = HybridNetwork.build(
+        4,
+        [(0, 1, 2.0, 3.0), (1, 2, 1.0, 1.0), (2, 3, 1.5, 0.5)],
+        reconf_default=2.0,
+        reconf_overrides={(0, 2): (5.0, 6.0), (1, 3): (0.0, 4.0)},
+    )
+    assert instance_hash(net, DemandMatrix({(0, 3): 2.0, (3, 1): 1.0})) == "e783cdab2f72289a"
+    assert (
+        instance_hash(*build_instance(WorkloadConfig(n=200, k=4, seed=3, rate=100)))
+        == "7879d2bebe8de053"
+    )

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconfnet.errors import (
     FlowOnUnselectedLinkError,
@@ -13,6 +16,7 @@ from reconfnet.errors import (
     ReconfNetError,
     TopologyParseError,
 )
+from reconfnet.harness import instance_hash
 from reconfnet.model import (
     DemandMatrix,
     DemandStructure,
@@ -39,25 +43,54 @@ def test_negative_capacity_reported() -> None:
     assert "NegativeCapacity" in result.codes()
 
 
-def test_missing_reconfigurable_pair_reported() -> None:
-    net = HybridNetwork.build(3, static=[(0, 1, 1, 1)], reconf_default=1.0)
-    trimmed = HybridNetwork(
-        n=3,
-        static_links=net.static_links,
-        reconf_links=tuple(l for l in net.reconf_links if (l.u, l.v) != (0, 2)),
-    )
-    result = validate_network(trimmed)
-    assert "IncompleteReconfigurableSet" in result.codes()
-
-
-def test_self_loop_and_duplicate_reported() -> None:
+def test_self_loop_reported() -> None:
     net = HybridNetwork.build(2, static=[(0, 0, 1, 1)], reconf_default=1.0)
-    doubled = HybridNetwork(
-        n=2, static_links=net.static_links, reconf_links=net.reconf_links * 2
-    )
-    codes = validate_network(doubled).codes()
-    assert "SelfLoop" in codes
-    assert "DuplicateLink" in codes
+    assert "SelfLoop" in validate_network(net).codes()
+    net = HybridNetwork.build(2, reconf_overrides={(1, 1): (1.0, 1.0)})
+    assert validate_network(net).codes() == ("SelfLoop",)
+
+
+@pytest.mark.parametrize(
+    "static, default",
+    [([(0, 1, math.nan, 1.0)], 1.0), ([(0, 1, math.inf, 1.0)], 1.0), ([(0, 1, 1.0, 1.0)], math.inf)],
+    ids=["static-nan", "static-inf", "default-inf"],
+)
+def test_non_finite_capacity_reported(static, default) -> None:
+    net = HybridNetwork.build(3, static=static, reconf_default=default)
+    assert validate_network(net).codes() == ("NonFiniteCapacity",)
+
+
+def test_override_outside_node_range_reported() -> None:
+    net = HybridNetwork.build(3, static=[(0, 1, 1, 1)], reconf_overrides={(-1, 2): (5.0, 5.0)})
+    assert validate_network(net).codes() == ("NodeOutOfRange",)
+
+
+def test_build_normalises_reversed_override_key() -> None:
+    net = HybridNetwork.build(3, static=[(0, 1, 1, 1)], reconf_overrides={(2, 0): (5.0, 6.0)})
+    assert net.reconf_overrides == (((0, 2), (6.0, 5.0)),)
+    assert net.reconf_capacity(0, 2) == 6.0
+    assert net.reconf_capacity(2, 0) == 5.0
+
+
+def test_default_capacity_counts_only_while_some_pair_uses_it() -> None:
+    net = HybridNetwork.build(2, reconf_default=9.0, reconf_overrides={(0, 1): (1.0, 2.0)})
+    assert (net.c_min, net.c_max) == (1.0, 2.0)
+    net = HybridNetwork.build(3, reconf_default=9.0, reconf_overrides={(0, 1): (1.0, 2.0)})
+    assert (net.c_min, net.c_max) == (1.0, 9.0)
+
+
+def test_large_network_build_validate_and_c_max_stay_small() -> None:
+    n = 1000
+    ring = [(i, (i + 1) % n, 1.0, 1.0) for i in range(n)]
+    tracemalloc.start()
+    try:
+        net = HybridNetwork.build(n, ring)
+        assert validate_network(net).ok
+        assert net.c_max == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_parallel_static_links_are_legal_and_addressable() -> None:
@@ -179,6 +212,45 @@ def test_topology_round_trip(tmp_path) -> None:
     assert loaded.n == net.n
     assert loaded.static_links == net.static_links
     assert loaded.reconf_links == net.reconf_links
+
+
+@st.composite
+def small_networks(draw) -> HybridNetwork:
+    """n <= 8, capacities that print exactly, override keys in either order."""
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    cap = st.integers(0, 40).map(lambda k: k / 4)
+    static = draw(st.lists(st.tuples(st.sampled_from(pairs), cap, cap), max_size=10))
+    overrides = draw(st.dictionaries(st.sampled_from(pairs), st.tuples(cap, cap), max_size=8))
+    return HybridNetwork.build(
+        n, [(u, v, cf, cb) for (u, v), cf, cb in static], draw(cap), overrides
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=small_networks())
+def test_topology_round_trip_keeps_every_capacity(net, tmp_path_factory) -> None:
+    path = tmp_path_factory.mktemp("topo") / "topo.txt"
+    write_topology(net, path)
+    loaded = read_topology(path)
+    assert loaded.n == net.n
+    assert loaded.static_links == net.static_links
+    for i in range(net.n):
+        for j in range(net.n):
+            if i != j:
+                assert loaded.reconf_capacity(i, j) == net.reconf_capacity(i, j)
+    demands = DemandMatrix({(0, 1): 1.0})
+    assert instance_hash(loaded, demands) == instance_hash(net, demands)
+
+
+def test_topology_reader_swaps_reversed_record_and_keeps_the_later_one(tmp_path) -> None:
+    path = tmp_path / "topo.txt"
+    path.write_text("# nodes=3\nS 0 1 1 1\nR 2 0 5 6\n")
+    net = read_topology(path)
+    assert (net.reconf_capacity(0, 2), net.reconf_capacity(2, 0)) == (6.0, 5.0)
+    path.write_text("# nodes=3\nR 2 0 5 6\nR 0 2 1 2\nR 2 0 7 8\n")
+    net = read_topology(path)
+    assert (net.reconf_capacity(0, 2), net.reconf_capacity(2, 0)) == (8.0, 7.0)
 
 
 def test_topology_reader_fills_missing_reconf_pairs(tmp_path) -> None:
