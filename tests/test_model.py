@@ -227,7 +227,7 @@ def small_networks(draw) -> HybridNetwork:
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(net=small_networks())
 def test_topology_round_trip_keeps_every_capacity(net, tmp_path_factory) -> None:
     path = tmp_path_factory.mktemp("topo") / "topo.txt"

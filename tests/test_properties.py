@@ -1,0 +1,73 @@
+"""Hypothesis properties of the solvers on small random instances.
+
+Networks have at most seven nodes and a connected static topology; every
+capacity and demand is drawn from {1, 2, 3}.  The properties hold for any
+correct LP formulation and any path decomposition, so they guard changes to
+either.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reconfnet.lp import build_mcmf_lp, solve_lp
+from reconfnet.model import DemandMatrix, HybridNetwork
+from reconfnet.segregated import solve_ss, solve_us
+
+from .oracles import path_lp_congestion
+
+UNIT = st.sampled_from([1.0, 2.0, 3.0])
+
+
+@st.composite
+def instances(draw) -> tuple[HybridNetwork, DemandMatrix]:
+    """A random spanning tree plus extra links, some reconfigurable
+    overrides, and up to 2n demands between distinct nodes."""
+    n = draw(st.integers(3, 7))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=n))
+    static = [(u, v, draw(UNIT), draw(UNIT)) for u, v in tree + extra]
+    overrides = draw(st.dictionaries(st.sampled_from(pairs), st.tuples(UNIT, UNIT), max_size=n))
+    net = HybridNetwork.build(n, static, draw(UNIT), overrides)
+    entries = draw(st.dictionaries(st.sampled_from(pairs), UNIT, min_size=1, max_size=2 * n))
+    return net, DemandMatrix(entries)
+
+
+def _assert_serves_demands_exactly(flow, demands: DemandMatrix) -> None:
+    assert set(flow.by_commodity) <= set(demands.commodities())
+    for commodity in demands.commodities():
+        d = demands.get(*commodity)
+        delivered = math.fsum(amount for c, _, amount in flow.paths if c == commodity)
+        assert delivered == pytest.approx(d, rel=1e-9, abs=1e-9)
+        assert flow.net_outflow(commodity, commodity[0]) == pytest.approx(d, rel=1e-9, abs=1e-9)
+        assert flow.conservation_residual(commodity) <= 1e-9 * max(1.0, d)
+
+
+@given(instance=instances())
+def test_ss_load_lies_between_the_bound_and_twice_the_bound(instance) -> None:
+    net, demands = instance
+    result = solve_ss(net, demands)
+    assert result.lp_bound - 1e-7 <= result.max_load
+    assert result.max_load <= 2.0 * result.lp_bound * (1 + 1e-9) + 1e-7
+
+
+@given(instance=instances())
+def test_ss_and_us_flows_serve_every_demand_and_conserve_flow(instance) -> None:
+    net, demands = instance
+    stage1 = solve_ss(net, demands)
+    _assert_serves_demands_exactly(stage1.flow, demands)
+    _assert_serves_demands_exactly(solve_us(net, demands, trials=2, stage1=stage1).flow, demands)
+
+
+@given(instance=instances())
+def test_mcmf_objective_equals_the_path_oracle(instance) -> None:
+    net, demands = instance
+    solution = solve_lp(build_mcmf_lp(net, demands))
+    assert solution.optimal
+    oracle = path_lp_congestion(net.static_arcs(), demands)
+    assert solution.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
