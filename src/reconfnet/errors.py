@@ -49,8 +49,8 @@ class NonUniformCapacitiesError(ReconfNetError):
     """Capacities are not a single positive value across all directions."""
 
 
-class InstanceTooLargeError(ReconfNetError):
-    """The instance exceeds the exhaustive-search limits."""
+class InstanceTooLargeError(ReconfNetError, RuntimeError):
+    """The instance exceeds the exhaustive-search or path-search limits."""
 
 
 class InvalidDegreeError(ReconfNetError):

@@ -17,7 +17,7 @@ from .errors import (
     NotSingleCommodityError,
 )
 from .lp import build_mcmf_lp, scale_paths_to, solve_lp, solver_noise
-from .lp.linprog import EQ, LE, LinearProgram, LpStatus, solve_simplex
+from .lp.linprog import LinearProgram, LpStatus, solve_simplex
 from .maxflow import max_flow_with_matching
 from .model import (
     CongestionReport,
@@ -105,53 +105,53 @@ def _restricted_path_lp(
     per_commodity: dict[tuple[NodeId, NodeId], list[tuple[DirectedLink, ...]]],
     demands: DemandMatrix,
 ) -> dict[tuple[NodeId, NodeId], list[FlowPath]] | None:
-    """Min-congestion split over fixed path menus; None when infeasible."""
-    commodities = sorted(per_commodity)
-    offsets: dict[tuple[NodeId, NodeId], int] = {}
-    total = 1
-    for commodity in commodities:
-        offsets[commodity] = total
-        total += len(per_commodity[commodity])
-    scale = demands.max_demand() or 1.0
+    """Min-congestion split over fixed path menus; None when infeasible.
 
-    lp = LinearProgram(num_vars=total)
-    lp.objective = {0: 1.0}
-    arc_rows: dict[DirectedLink, dict[int, float]] = {}
-    for commodity in commodities:
-        menu = per_commodity[commodity]
-        if not menu:
-            return None
-        base = offsets[commodity]
-        lp.add_row(
-            {base + idx: 1.0 for idx in range(len(menu))},
-            EQ,
-            demands.get(*commodity) / scale,
-            f"dem:{commodity}",
-        )
-        for idx, path in enumerate(menu):
+    Column 0 is the congestion, then one column per menu path.  One demand
+    row per commodity, then one capacity row per used arc in arc order."""
+    import scipy.sparse as sp
+
+    commodities = sorted(per_commodity)
+    if not all(per_commodity[c] for c in commodities):
+        return None
+    scale = demands.max_demand() or 1.0
+    arc_vars: dict[DirectedLink, list[int]] = {}
+    rows: list[int] = []
+    for r, commodity in enumerate(commodities):
+        for path in per_commodity[commodity]:
+            rows.append(r)
             for arc in path:
-                arc_rows.setdefault(arc, {})[base + idx] = 1.0
-    for arc, coeffs in sorted(
-        arc_rows.items(), key=lambda kv: (kv[0].tail, kv[0].head, kv[0].kind.value, kv[0].copy)
-    ):
+                arc_vars.setdefault(arc, []).append(len(rows))
+    total = len(rows) + 1
+    cols = list(range(1, total))
+    vals = [1.0] * len(cols)
+    ordered = sorted(arc_vars, key=lambda a: (a.tail, a.head, a.kind.value, a.copy))
+    for r, arc in enumerate(ordered, start=len(commodities)):
         if arc.capacity <= 0:
             return None  # menus are built over positive-capacity arcs
-        row = {var: 1.0 / arc.capacity for var in coeffs}
-        row[0] = -1.0
-        lp.add_row(row, LE, 0.0, "cap")
+        rows.extend([r] * (len(arc_vars[arc]) + 1))
+        cols.extend(arc_vars[arc] + [0])
+        vals.extend([1.0 / arc.capacity] * len(arc_vars[arc]) + [-1.0])
+    demand = np.array([demands.get(*c) for c in commodities]) / scale
+    lp = LinearProgram(
+        matrix=sp.coo_array((vals, (rows, cols)), shape=(len(commodities) + len(ordered), total)),
+        row_lower=np.concatenate([demand, np.full(len(ordered), -np.inf)]),
+        row_upper=np.concatenate([demand, np.zeros(len(ordered))]),
+        col_upper=np.full(total, np.inf),
+        cost=np.r_[1.0, np.zeros(total - 1)],
+    )
 
     result = solve_simplex(lp)
     if result.status is not LpStatus.OPTIMAL:
         return None
     out: dict[tuple[NodeId, NodeId], list[FlowPath]] = {}
     noise = solver_noise(scale)
+    amounts = iter((result.x[1:] * scale).tolist())  # menu by menu, in column order
     for commodity in commodities:
-        base = offsets[commodity]
-        menu = per_commodity[commodity]
         paths = [
-            (commodity, menu[idx], float(result.x[base + idx]) * scale)
-            for idx in range(len(menu))
-            if result.x[base + idx] * scale > 1e-11 * scale
+            (commodity, path, amount)
+            for path, amount in zip(per_commodity[commodity], amounts)
+            if amount > 1e-11 * scale
         ]
         out[commodity] = scale_paths_to(paths, demands.get(*commodity), slack=noise)
     return out

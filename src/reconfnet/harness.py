@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .baselines import greedy_matching, max_weight_matching, oblivious
-from .errors import EmptyRecordSetError
+from .errors import EmptyRecordSetError, ReconfNetError
 from .evaluation import EvalSpec, RoutingModel, eval_matching
 from .model import DemandMatrix, HybridNetwork, topology_records, write_topology
 from .segregated import solve_ss, solve_us
@@ -348,8 +348,12 @@ def plan_from_json(payload: dict) -> ExperimentPlan:
 
     When the plan does not pin a path limit, splittable runs default to the
     three shortest paths and unsplittable runs to one, the usual operational
-    restriction at these scales.
+    restriction at these scales.  A plan without ``node_counts`` or
+    ``k_values`` is refused with an error naming the missing keys.
     """
+    missing = [key for key in ("node_counts", "k_values") if key not in payload]
+    if missing:
+        raise ReconfNetError(f"plan is missing the required key(s): {', '.join(missing)}")
     eval_payload = payload.get("eval", {})
     routing = RoutingModel(eval_payload.get("routing", "ss"))
     default_limit = 3 if routing.splittable else 1

@@ -9,20 +9,9 @@ from .builder import (
 )
 from .decompose import decompose_commodity, decompose_paths, scale_paths_to, solver_noise
 from .dump import write_lp
-from .linprog import (
-    EQ,
-    GE,
-    LE,
-    LinearProgram,
-    LpStatus,
-    SimplexResult,
-    solve_simplex,
-)
+from .linprog import LinearProgram, LpStatus, SimplexResult, solve_simplex
 
 __all__ = [
-    "EQ",
-    "GE",
-    "LE",
     "LinearProgram",
     "LpProblem",
     "LpSolution",

@@ -1,9 +1,17 @@
 """Compact edge-based LP construction for matching/routing co-optimization.
 
-Variable layout (one block per problem):
-  index 0                      lambda, the congestion objective
-  1 .. C*A                     per-commodity per-arc flow values
-  1 + C*A .. +P                one matching indicator per unordered pair
+Columns: 0 is lambda, the congestion objective; then one flow block per
+source (the arc flows of all its commodities together); then one matching
+indicator per unordered pair, 0 <= z <= 1.  Row blocks, in order
+(``LpProblem.row_blocks``):
+  flow  per source s and node v != s: net inflow at v plus d_sv z_sv is at
+        least d_sv at a sink v of s, and net inflow is at least 0 elsewhere
+  cap   per static arc: flow over capacity is at most lambda
+  zcap  per commodity with an indicator: d z over the reconfigurable
+        capacity of its direction is at most lambda
+  deg   per node with an indicator: the incident indicators sum to at most 1
+One block per source gives the same optimum as one per commodity (source
+aggregation): each source's flow splits into paths to its sinks.
 
 Both directions of a candidate pair share a single indicator variable, which
 enforces their simultaneous activation structurally.  Only pairs whose own
@@ -19,12 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import NumericalFailureError
-from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId, pair_key
+from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
-from .linprog import EQ, GE, LE, LinearProgram, LpStatus, SimplexResult, solve_simplex
+from .linprog import LinearProgram, LpStatus, solve_simplex
 
 RESIDUAL_TOL = 1e-7
 DEGREE_TOL = 1e-9
@@ -36,35 +47,26 @@ class LpProblem:
 
     lp: LinearProgram
     arcs: tuple[DirectedLink, ...]
-    commodities: tuple[tuple[NodeId, NodeId], ...]
+    sources: tuple[NodeId, ...]
     z_pairs: tuple[tuple[NodeId, NodeId], ...]
+    row_blocks: dict[str, range]
     demands: DemandMatrix
     demand_scale: float
     net: HybridNetwork | None = None
 
     @property
-    def num_flow_vars(self) -> int:
-        return len(self.commodities) * len(self.arcs)
-
-    def flow_var(self, commodity_index: int, arc_index: int) -> int:
-        return 1 + commodity_index * len(self.arcs) + arc_index
-
-    def z_var(self, pair_index: int) -> int:
-        return 1 + self.num_flow_vars + pair_index
-
-    @property
     def trivially_optimal(self) -> bool:
-        return not self.commodities
+        return not self.sources
 
 
 @dataclass
 class LpSolution:
-    """Fractional optimum: objective, indicators, and per-commodity flows."""
+    """Fractional optimum: objective, indicators, and per-source flows."""
 
     status: LpStatus
     objective: float
     z: dict[tuple[NodeId, NodeId], float]
-    flows: dict[tuple[NodeId, NodeId], dict[DirectedLink, float]]
+    flows: dict[NodeId, dict[DirectedLink, float]]
     problem: LpProblem
     iterations: int = 0
 
@@ -72,16 +74,28 @@ class LpSolution:
     def optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
 
+    @cached_property
+    def _paths_by_commodity(self) -> dict[tuple[NodeId, NodeId], list[FlowPath]]:
+        noise = solver_noise(self.problem.demand_scale)
+        grouped: dict[tuple[NodeId, NodeId], list[FlowPath]] = {}
+        for source, links in self.flows.items():
+            paths, _cycles = decompose_commodity(source, links, noise=noise)
+            for path in paths:
+                grouped.setdefault(path[0], []).append(path)
+        return grouped
+
     def paths(
         self, commodity: tuple[NodeId, NodeId], target: float, factor: float = 1.0
     ) -> list[FlowPath]:
-        """The commodity's flow times ``factor`` as simple paths carrying
-        exactly ``target`` (the LP's demand row is one-sided, so slight
-        over-delivery is possible and must not leak into the flow)."""
-        links = {arc: value * factor for arc, value in self.flows.get(commodity, {}).items()}
-        noise = solver_noise(self.problem.demand_scale)
-        paths, _cycles = decompose_commodity(commodity, links, noise=noise)
-        return scale_paths_to(paths, target, slack=noise)
+        """The commodity's paths in its source's flow, times ``factor`` and
+        trimmed to carry exactly ``target`` (the LP's demand row is
+        one-sided, so slight over-delivery is possible and must not leak into
+        the flow).  Each source is decomposed once, on first use."""
+        paths = [
+            (c, arcs, amount * factor)
+            for c, arcs, amount in self._paths_by_commodity.get(commodity, ())
+        ]
+        return scale_paths_to(paths, target, slack=solver_noise(self.problem.demand_scale))
 
 
 def _positive_arcs(arcs: Sequence[DirectedLink]) -> tuple[DirectedLink, ...]:
@@ -89,23 +103,15 @@ def _positive_arcs(arcs: Sequence[DirectedLink]) -> tuple[DirectedLink, ...]:
 
 
 def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
-    """LP relaxation of the joint matching/routing problem (segregated).
-
-    Emits, per commodity, interior-node conservation and a source row
-    requiring net outflow of at least (1 - z) times the demand; per static
-    arc a capacity row normalized by the capacity; per demand direction an
-    indicator-capacity row; and per node a degree row capping the incident
-    indicators at one.
-    """
-    z_pairs = []
+    """LP relaxation of the joint matching/routing problem (segregated):
+    the four row blocks of the module docstring."""
+    z_caps = {}
     for i, j in demands.positive_pairs():
-        usable = True
-        for (a, b) in ((i, j), (j, i)):
-            if demands.get(a, b) > 0 and net.reconf_capacity(a, b) <= 0:
-                usable = False  # offloading would route demand onto a dead link
-        if usable:
-            z_pairs.append((i, j))
-    return _build(_positive_arcs(net.static_arcs()), net.n, demands, tuple(z_pairs), net)
+        caps = (net.reconf_capacity(i, j), net.reconf_capacity(j, i))
+        # offloading would route demand onto a dead link
+        if all(cap > 0 or demands.get(*d) <= 0 for cap, d in zip(caps, ((i, j), (j, i)))):
+            z_caps[(i, j)] = caps
+    return _build(_positive_arcs(net.static_arcs()), net.n, demands, z_caps, net)
 
 
 def build_mcmf_lp(
@@ -118,103 +124,107 @@ def build_mcmf_lp(
     """
     if isinstance(net_or_arcs, HybridNetwork):
         arcs = _positive_arcs(net_or_arcs.static_arcs())
-        return _build(arcs, net_or_arcs.n, demands, (), net_or_arcs)
+        return _build(arcs, net_or_arcs.n, demands, {}, net_or_arcs)
     arcs = _positive_arcs(tuple(net_or_arcs))
     n_nodes = max((max(a.tail, a.head) for a in arcs), default=-1) + 1
     for i, j in demands.commodities():
         n_nodes = max(n_nodes, i + 1, j + 1)
-    return _build(arcs, n_nodes, demands, (), None)
+    return _build(arcs, n_nodes, demands, {}, None)
 
 
 def _build(
     arcs: tuple[DirectedLink, ...],
-    n_nodes: int,
+    n: int,
     demands: DemandMatrix,
-    z_pairs: tuple[tuple[NodeId, NodeId], ...],
+    z_caps: dict[tuple[NodeId, NodeId], tuple[float, float]],
     net: HybridNetwork | None,
 ) -> LpProblem:
-    """Conservation and capacity rows for every commodity, plus the
-    indicator rows (which read ``net``) when ``z_pairs`` is non-empty."""
-    commodities = demands.commodities()
+    """The four row blocks over nodes 0..n-1 as one sparse matrix.  ``z_caps``
+    maps each indicator pair (i, j), i < j, to its reconfigurable capacities
+    (i -> j, j -> i); it is empty for the plain multicommodity-flow LP."""
+    import scipy.sparse as sp
+
+    entries = demands.entries
     scale = demands.max_demand() or 1.0
-    problem = LpProblem(
-        lp=LinearProgram(num_vars=1 + len(commodities) * len(arcs) + len(z_pairs)),
+    s, t = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
+    d = np.fromiter(entries.values(), float, len(entries)) / scale
+    sources = np.unique(s)
+    src_of = np.searchsorted(sources, s)
+    tails, heads = np.array([(a.tail, a.head) for a in arcs], dtype=np.int64).reshape(-1, 2).T
+    inv_cap = np.array([1.0 / a.capacity for a in arcs])
+    z_pairs = tuple(z_caps)
+    n_arcs, n_z = len(arcs), len(z_pairs)
+    z_col = 1 + len(sources) * n_arcs
+
+    # Row k*n + v is node v of source k; each source's own row is dropped and
+    # ``kept`` maps a full row index to its position.
+    keep = np.arange(len(sources) * n) % n != np.repeat(sources, n)
+    kept = np.cumsum(keep) - 1
+    n_flow = int(keep.sum())
+    sink = src_of * n + t
+    lower = np.zeros(len(keep))
+    lower[sink] = d
+
+    # A commodity with an indicator adds d z to its sink row and has a zcap row.
+    z_ends = np.array(z_pairs, dtype=np.int64).reshape(-1, 2)
+    pair = np.minimum(s, t) * n + np.maximum(s, t)
+    z_keys = np.append(z_ends @ [n, 1], n * n)  # sorted, with a sentinel past every pair
+    z_of = np.searchsorted(z_keys, pair)
+    has_z = z_keys[z_of] == pair
+    z_of = z_of[has_z]
+    reconf_cap = np.array(list(z_caps.values())).reshape(-1, 2)[z_of, (s > t)[has_z].astype(int)]
+    z_nodes = np.unique(z_ends)
+    cap0, zcap0 = n_flow, n_flow + n_arcs
+    deg0 = zcap0 + len(z_of)
+
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v) -> None:
+        rows.append(r)
+        cols.append(np.zeros(len(r), dtype=np.int64) + c)
+        vals.append(np.zeros(len(r)) + v)
+
+    block, arc = np.divmod(np.arange(len(sources) * n_arcs), n_arcs)
+    flow_col = 1 + block * n_arcs + arc
+    for node, sign in ((heads, 1.0), (tails, -1.0)):  # net inflow
+        full = block * n + node[arc]
+        put(kept[full[keep[full]]], flow_col[keep[full]], sign)
+    put(kept[sink[has_z]], z_col + z_of, d[has_z])
+    put(cap0 + arc, flow_col, inv_cap[arc])
+    put(cap0 + np.arange(n_arcs), 0, -1.0)
+    put(zcap0 + np.arange(len(z_of)), z_col + z_of, d[has_z] / reconf_cap)
+    put(zcap0 + np.arange(len(z_of)), 0, -1.0)
+    z_node_row = np.searchsorted(z_nodes, z_ends.reshape(-1))
+    put(deg0 + z_node_row, z_col + np.repeat(np.arange(n_z), 2), 1.0)
+    n_rows, n_cols = deg0 + len(z_nodes), z_col + n_z
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    upper = [np.full(n_flow, np.inf), np.zeros(deg0 - cap0), np.ones(len(z_nodes))]
+    lp = LinearProgram(
+        matrix=sp.coo_array(coo, shape=(n_rows, n_cols)),
+        row_lower=np.concatenate([lower[keep], np.full(n_rows - n_flow, -np.inf)]),
+        row_upper=np.concatenate(upper),
+        col_upper=np.concatenate([np.full(z_col, np.inf), np.ones(n_z)]),
+        cost=np.r_[1.0, np.zeros(n_cols - 1)],
+    )
+    return LpProblem(
+        lp=lp,
         arcs=arcs,
-        commodities=commodities,
+        sources=tuple(sources.tolist()),
         z_pairs=z_pairs,
+        row_blocks={
+            "flow": range(0, cap0),
+            "cap": range(cap0, zcap0),
+            "zcap": range(zcap0, deg0),
+            "deg": range(deg0, n_rows),
+        },
         demands=demands,
         demand_scale=scale,
         net=net,
     )
-    if problem.trivially_optimal:
-        return problem
-
-    lp = problem.lp
-    lp.objective = {0: 1.0}
-    z_index = {p: k for k, p in enumerate(z_pairs)}
-
-    out_arcs: dict[NodeId, list[int]] = {}
-    in_arcs: dict[NodeId, list[int]] = {}
-    for ai, arc in enumerate(arcs):
-        out_arcs.setdefault(arc.tail, []).append(ai)
-        in_arcs.setdefault(arc.head, []).append(ai)
-
-    for ci, (i, j) in enumerate(commodities):
-        d = demands.get(i, j) / scale
-        for v in range(n_nodes):
-            if v == j:
-                continue  # sink row is implied by the others
-            coeffs: dict[int, float] = {}
-            for ai in out_arcs.get(v, ()):
-                coeffs[problem.flow_var(ci, ai)] = 1.0
-            for ai in in_arcs.get(v, ()):
-                coeffs[problem.flow_var(ci, ai)] = -1.0
-            if v == i:
-                pair = pair_key(i, j)
-                if pair in z_index:
-                    coeffs[problem.z_var(z_index[pair])] = d
-                lp.add_row(coeffs, GE, d, f"dem:{i}->{j}")
-            elif coeffs:
-                lp.add_row(coeffs, EQ, 0.0, f"con:{i}->{j}@{v}")
-
-    for ai, arc in enumerate(arcs):
-        coeffs = {problem.flow_var(ci, ai): 1.0 / arc.capacity for ci in range(len(commodities))}
-        coeffs[0] = -1.0
-        lp.add_row(coeffs, LE, 0.0, f"cap:{ai}")
-
-    for (i, j), k in z_index.items():
-        for (a, b) in ((i, j), (j, i)):
-            d = demands.get(a, b)
-            if d <= 0:
-                continue
-            cap = net.reconf_capacity(a, b)
-            lp.add_row(
-                {problem.z_var(k): d / scale / cap, 0: -1.0},
-                LE,
-                0.0,
-                f"zcap:{a}->{b}",
-            )
-
-    incident: dict[NodeId, list[int]] = {}
-    for (i, j), k in z_index.items():
-        incident.setdefault(i, []).append(k)
-        incident.setdefault(j, []).append(k)
-    for node in sorted(incident):
-        lp.add_row(
-            {problem.z_var(k): 1.0 for k in incident[node]},
-            LE,
-            1.0,
-            f"deg:{node}",
-        )
-
-    for pair, k in z_index.items():
-        lp.add_row({problem.z_var(k): 1.0}, LE, 1.0, f"zub:{pair}")
-
-    return problem
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a built problem and decode indicators and per-commodity flows.
+    """Solve a built problem and decode indicators and per-source flows.
 
     The decoded solution is checked for primal feasibility (residuals within
     1e-7 on the normalized problem) and for the per-node indicator degree
@@ -229,46 +239,36 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if result.status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, math.inf, {}, {}, problem, result.iterations)
 
-    _check_residuals(problem, result)
+    _check_feasible(problem, result.x)
 
     scale = problem.demand_scale
-    z = {}
-    for k, pair in enumerate(problem.z_pairs):
-        z[pair] = float(min(max(result.x[problem.z_var(k)], 0.0), 1.0))
-    flows: dict[tuple[NodeId, NodeId], dict[DirectedLink, float]] = {}
-    for ci, commodity in enumerate(problem.commodities):
-        links: dict[DirectedLink, float] = {}
-        for ai, arc in enumerate(problem.arcs):
-            value = float(result.x[problem.flow_var(ci, ai)]) * scale
-            if value > 1e-11 * scale:
-                links[arc] = value
-        flows[commodity] = links
-
-    degree: dict[NodeId, float] = {}
-    for (i, j), value in z.items():
-        degree[i] = degree.get(i, 0.0) + value
-        degree[j] = degree.get(j, 0.0) + value
-    for node, total in degree.items():
-        if total > 1.0 + DEGREE_TOL:
-            raise NumericalFailureError(f"indicator degree bound violated at node {node}: {total}")
-
+    z_col = 1 + len(problem.sources) * len(problem.arcs)
+    z = dict(zip(problem.z_pairs, np.clip(result.x[z_col:], 0.0, 1.0).tolist()))
+    flows: dict[NodeId, dict[DirectedLink, float]] = {}
+    per_source = result.x[1:z_col].reshape(len(problem.sources), -1) * scale
+    for source, values in zip(problem.sources, per_source):
+        used = np.flatnonzero(values > 1e-11 * scale)
+        flows[source] = {problem.arcs[a]: float(values[a]) for a in used}
     return LpSolution(
         LpStatus.OPTIMAL, result.objective * scale, z, flows, problem, result.iterations
     )
 
 
-def _check_residuals(problem: LpProblem, result: SimplexResult) -> None:
-    x = result.x
-    worst = 0.0
-    for row in problem.lp.rows:
-        value = math.fsum(coef * x[var] for var, coef in row.coeffs.items())
-        if row.sense == LE:
-            violation = value - row.rhs
-        elif row.sense == GE:
-            violation = row.rhs - value
-        else:
-            violation = abs(value - row.rhs)
-        worst = max(worst, violation)
-    magnitude = max(1.0, max(abs(r.rhs) for r in problem.lp.rows))
+def _check_feasible(problem: LpProblem, x: np.ndarray) -> None:
+    """One mat-vec: every row activity and every column within its bounds,
+    and the degree rows within a tighter tolerance."""
+    lp = problem.lp
+    activity = lp.matrix @ x
+    worst = max(
+        np.max(lp.row_lower - activity, initial=0.0),
+        np.max(activity - lp.row_upper, initial=0.0),
+        np.max(-x, initial=0.0),
+        np.max(x - lp.col_upper, initial=0.0),
+    )
+    bounds = np.concatenate([lp.row_lower, lp.row_upper])
+    magnitude = max(1.0, np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0))
     if worst > RESIDUAL_TOL * magnitude:
         raise NumericalFailureError(f"primal residual {worst:.3e} exceeds tolerance")
+    degree = np.max(activity[problem.row_blocks["deg"]], initial=0.0)
+    if degree > 1.0 + DEGREE_TOL:
+        raise NumericalFailureError(f"indicator degree bound violated: {degree}")

@@ -17,113 +17,98 @@ def solver_noise(demand_scale: float) -> float:
 
 
 def decompose_commodity(
-    commodity: tuple[NodeId, NodeId],
+    source: NodeId,
     links: dict[DirectedLink, float],
     noise: float = 0.0,
 ) -> tuple[list[FlowPath], list[tuple[tuple[DirectedLink, ...], float]]]:
-    """Split one commodity's link flows into source-sink paths and cycles.
+    """Split one source's link flows into paths and cycles.
 
-    Cycles are cancelled first (the LP leaves conservation unconstrained at
-    the endpoints, so circulations may pass through them); the remainder is
-    then a directed acyclic flow whose maximal chains all run source to sink,
-    and peeling bottlenecks off those chains yields at most one simple path
-    per zeroed arc.  Tiny leftovers up to ``noise`` (the LP solver's absolute
-    feasibility slack, which rides on the whole problem's demand scale) are
-    dropped as numerical crumbs; a substantial imbalance still raises.
+    Cycles are cancelled first (the LP bounds only the net inflow of each
+    node, so circulations may pass through any node); the remainder is a
+    directed acyclic flow in which every node but the source keeps its
+    excess, its net inflow.  Each walk leaves the source along the first
+    positive arc and stops at the first node v with positive excess; peeling
+    the smaller of its bottleneck and that excess yields the path
+    ``((source, v), arcs, amount)`` and zeroes an arc or an excess.  A
+    conserved commodity flow therefore yields paths to its sink only.  Tiny
+    leftovers up to ``noise`` (the LP solver's absolute feasibility slack,
+    which rides on the whole problem's demand scale) are dropped as numerical
+    crumbs; a substantial imbalance still raises.
     """
-    src, dst = commodity
     magnitude = max(links.values(), default=0.0)
     eps = _EPS * max(1.0, magnitude)
     crumb = max(_CRUMB * max(1.0, magnitude), noise)
     residual = {arc: v for arc, v in links.items() if v > eps}
+    adjacent: dict[NodeId, list[DirectedLink]] = {}
+    for arc in sorted(residual, key=lambda a: (a.head, a.kind.value, a.copy)):
+        adjacent.setdefault(arc.tail, []).append(arc)
     paths: list[FlowPath] = []
     cycles: list[tuple[tuple[DirectedLink, ...], float]] = []
 
     def out_arcs(node: NodeId) -> list[DirectedLink]:
-        found = [a for a in residual if a.tail == node]
-        found.sort(key=lambda a: (a.head, a.kind.value, a.copy))
-        return found
+        return [a for a in adjacent.get(node, ()) if a in residual]
 
-    while True:
-        cycle = _find_cycle(residual, out_arcs)
-        if cycle is None:
-            break
+    while (cycle := _find_cycle(residual, out_arcs)) is not None:
         amount = min(residual[a] for a in cycle)
         _subtract(residual, cycle, amount, eps)
         cycles.append((cycle, amount))
 
-    # Acyclic now: walk src -> dst, peel the bottleneck, repeat.
-    while True:
-        starts = out_arcs(src)
-        if not starts:
-            break
-        walk: list[DirectedLink] = [starts[0]]
+    excess: dict[NodeId, float] = {}
+    for arc, value in residual.items():
+        excess[arc.head] = excess.get(arc.head, 0.0) + value
+        excess[arc.tail] = excess.get(arc.tail, 0.0) - value
+
+    # Acyclic now: walk from the source to the first excess, peel, repeat.
+    while starts := out_arcs(source):
+        walk = [starts[0]]
         node = starts[0].head
-        dead_end = False
-        while node != dst:
-            nxt = out_arcs(node)
-            if not nxt:
-                dead_end = True
-                break
+        while excess[node] <= eps and (nxt := out_arcs(node)):
             walk.append(nxt[0])
             node = nxt[0].head
-        if dead_end:
-            _drop_binding_crumb(residual, walk, crumb, commodity)
+        if excess[node] <= eps:
+            _drop_binding_crumb(residual, walk, crumb, source)
             continue
-        amount = min(residual[a] for a in walk)
+        amount = min(excess[node], min(residual[a] for a in walk))
         _subtract(residual, walk, amount, eps)
+        excess[node] -= amount
         if amount > crumb:
-            paths.append((commodity, tuple(walk), amount))
+            paths.append(((source, node), tuple(walk), amount))
 
     for arc, value in sorted(residual.items(), key=lambda kv: kv[1]):
         if value > crumb:
             raise NonConservedFlowError(
-                f"flow for commodity {commodity} leaves residual {value:.3e} on {arc!r}"
+                f"flow from source {source} leaves residual {value:.3e} on {arc!r}"
             )
     return paths, cycles
 
 
 def _find_cycle(residual, out_arcs):
     """First directed cycle in deterministic DFS order, or None."""
-    color: dict[NodeId, int] = {}  # 1 on stack, 2 finished
+    done: set[NodeId] = set()  # no cycle passes through these
     for start in sorted({a.tail for a in residual}):
-        if color.get(start):
-            continue
-        stack: list[tuple[NodeId, list[DirectedLink], int]] = [(start, out_arcs(start), 0)]
-        entry_arcs: list[DirectedLink] = []
-        color[start] = 1
-        while stack:
-            node, arcs, index = stack[-1]
-            if index < len(arcs):
-                stack[-1] = (node, arcs, index + 1)
-                arc = arcs[index]
-                head = arc.head
-                state = color.get(head, 0)
-                if state == 0:
-                    color[head] = 1
-                    entry_arcs.append(arc)
-                    stack.append((head, out_arcs(head), 0))
-                elif state == 1:
-                    cycle = [arc]
-                    for previous in reversed(entry_arcs):
-                        if cycle[-1].tail == head:
-                            break
-                        cycle.append(previous)
-                    cycle.reverse()
-                    return tuple(cycle)
+        walk: list[DirectedLink] = []  # the DFS path from start
+        at = {start: 0}  # each node on the path -> the index of its arc out
+        node = start
+        while node not in done:
+            arc = next((a for a in out_arcs(node) if a.head not in done), None)
+            if arc is None:
+                done.add(node)
+                del at[node]
+                node = walk.pop().tail if walk else node
+            elif arc.head in at:
+                return tuple(walk[at[arc.head] :]) + (arc,)
             else:
-                color[node] = 2
-                stack.pop()
-                if entry_arcs and stack:
-                    entry_arcs.pop()
+                at[arc.head] = len(walk) + 1
+                walk.append(arc)
+                node = arc.head
     return None
 
 
-def _drop_binding_crumb(residual, walk, crumb, commodity) -> None:
+def _drop_binding_crumb(residual, walk, crumb, source) -> None:
     victim = min(walk, key=lambda a: residual[a])
     if residual[victim] > crumb:
         raise NonConservedFlowError(
-            f"flow for commodity {commodity} dead-ends with residual "
+            f"flow from source {source} dead-ends with residual "
             f"{residual[victim]:.3e}"
         )
     del residual[victim]
@@ -146,8 +131,9 @@ def decompose_paths(flow: Flow) -> Flow:
     """
     all_paths: list[FlowPath] = []
     for commodity in sorted(flow.by_commodity):
-        links = flow.by_commodity[commodity]
-        paths, _cycles = decompose_commodity(commodity, links)
+        paths, _cycles = decompose_commodity(commodity[0], flow.by_commodity[commodity])
+        if any(c != commodity for c, _, _ in paths):
+            raise NonConservedFlowError(f"flow for commodity {commodity} ends short of its sink")
         all_paths.extend(paths)
     return Flow.from_paths(all_paths)
 

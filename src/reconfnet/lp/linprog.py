@@ -1,23 +1,21 @@
 """The toolkit's linear programs and their solver, HiGHS's dual simplex.
 
-A ``LinearProgram`` is a list of labelled sparse rows over nonnegative
-variables.  ``solve_simplex`` hands it to ``scipy.optimize.linprog`` and
-reports the status, objective and primal vector; callers check the result
-(residuals, degree bound) themselves rather than trusting the solver.
+A ``LinearProgram`` is matrix-first: a sparse constraint matrix with row
+lower and upper bounds, column upper bounds (every column is nonnegative)
+and a cost vector.  ``solve_simplex`` hands it to ``scipy.optimize.linprog``
+and reports the status, objective and primal vector; callers check the
+result (residuals, degree bound) themselves rather than trusting the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..errors import NumericalFailureError
-
-LE = "<="
-GE = ">="
-EQ = "=="
 
 
 class LpStatus(Enum):
@@ -27,31 +25,29 @@ class LpStatus(Enum):
 
 
 @dataclass
-class LinearRow:
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
-    label: str = ""
-
-
-@dataclass
 class LinearProgram:
-    """min c.x  s.t. rows, x >= 0.  Variables are indexed densely from 0."""
+    """min cost.x  s.t.  row_lower <= matrix @ x <= row_upper,
+    0 <= x <= col_upper.  Infinite bounds are absent bounds."""
 
-    num_vars: int
-    objective: dict[int, float] = field(default_factory=dict)
-    rows: list[LinearRow] = field(default_factory=list)
+    matrix: object  # a scipy.sparse COO array, rows by columns
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_upper: np.ndarray
+    cost: np.ndarray
 
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float, label: str = "") -> None:
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"unknown sense {sense!r}")
-        for var in coeffs:
-            if not (0 <= var < self.num_vars):
-                raise ValueError(f"row {label!r} references undeclared variable {var}")
-        self.rows.append(LinearRow(dict(coeffs), sense, float(rhs), label))
+    @property
+    def num_vars(self) -> int:
+        return self.matrix.shape[1]
 
-    def row_count(self, prefix: str) -> int:
-        return sum(1 for r in self.rows if r.label.startswith(prefix))
+    @property
+    def rows(self) -> tuple[SimpleNamespace, ...]:
+        """Each row's non-zeros as ``coeffs`` {column: value}.  A read-only
+        view for tools outside the package, which itself reads ``matrix``."""
+        m = self.matrix.tocsr()
+        return tuple(
+            SimpleNamespace(coeffs=dict(zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())))
+            for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist())
+        )
 
 
 @dataclass
@@ -68,39 +64,26 @@ _STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 def solve_simplex(lp: LinearProgram) -> SimplexResult:
     """Solve ``lp`` with HiGHS's dual simplex.
 
-    LE rows and negated GE rows form the inequality block, EQ rows the
-    equality block.  Any HiGHS outcome other than optimal, infeasible or
-    unbounded (iteration limit, numerical trouble) raises.
+    Rows with equal bounds form the equality block; the finite upper bounds,
+    then the negated finite lower bounds, form the inequality block.  Any
+    HiGHS outcome other than optimal, infeasible or unbounded (iteration
+    limit, numerical trouble) raises.
     """
-    # Deferred: these two add about 40 MiB to a process, and LP-free callers
-    # of the package never need them.
-    import scipy.sparse as sp
+    # Deferred: scipy.optimize and scipy.sparse add about 40 MiB to a
+    # process, and LP-free callers of the package never need them.
     from scipy.optimize import linprog
 
-    blocks = {LE: ([], [], [], []), EQ: ([], [], [], [])}
-    for row in lp.rows:
-        sign = -1.0 if row.sense == GE else 1.0
-        data, rows, cols, rhs = blocks[EQ if row.sense == EQ else LE]
-        r = len(rhs)
-        for var, coef in row.coeffs.items():
-            data.append(sign * coef)
-            rows.append(r)
-            cols.append(var)
-        rhs.append(sign * row.rhs)
-
-    def matrix(sense):
-        data, rows, cols, rhs = blocks[sense]
-        if not rhs:
-            return None, None
-        return sp.csr_array((data, (rows, cols)), shape=(len(rhs), lp.num_vars)), rhs
-
-    A_ub, b_ub = matrix(LE)
-    A_eq, b_eq = matrix(EQ)
-    c = np.zeros(lp.num_vars)
-    for var, coef in lp.objective.items():
-        c[var] = coef
+    eq = lp.row_lower == lp.row_upper
+    upper = ~eq & np.isfinite(lp.row_upper)
+    lower = ~eq & np.isfinite(lp.row_lower)
     res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds"
+        lp.cost,
+        A_ub=_stack_rows(lp.matrix, [(upper, 1.0), (lower, -1.0)]),
+        b_ub=np.concatenate([lp.row_upper[upper], -lp.row_lower[lower]]),
+        A_eq=_stack_rows(lp.matrix, [(eq, 1.0)]),
+        b_eq=lp.row_lower[eq],
+        bounds=np.column_stack([np.zeros(lp.num_vars), lp.col_upper]),
+        method="highs-ds",
     )
     status = _STATUS.get(res.status)
     if status is None:
@@ -109,3 +92,20 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         return SimplexResult(status, float(res.fun), res.x, res.nit)
     objective = float("nan") if status is LpStatus.INFEASIBLE else float("-inf")
     return SimplexResult(status, objective, np.zeros(lp.num_vars), res.nit)
+
+
+def _stack_rows(matrix, parts):
+    """The rows of the COO ``matrix`` picked by each (mask, sign) of
+    ``parts``, times that sign and stacked in order.  Sparse row indexing
+    costs more than the solve on the toolkit's smallest LPs."""
+    import scipy.sparse as sp
+
+    data, rows, cols, top = [], [], [], 0
+    for mask, sign in parts:
+        take = mask[matrix.row]
+        data.append(sign * matrix.data[take])
+        rows.append(top + np.cumsum(mask)[matrix.row[take]] - 1)
+        cols.append(matrix.col[take])
+        top += int(mask.sum())
+    coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_array(coo, shape=(top, matrix.shape[1]))

@@ -103,8 +103,10 @@ class HybridNetwork:
     """Static topology plus the complete candidate set of reconfigurable links.
 
     Every node pair is a candidate.  A pair has ``reconf_default`` capacity in
-    both directions unless ``reconf_overrides`` lists it: a sorted tuple of
-    ``((i, j), (cap i->j, cap j->i))`` with i < j, best made by ``build``.
+    both directions unless ``reconf_overrides`` lists it as
+    ``((i, j), (cap i->j, cap j->i))``.  Construction stores the overrides as
+    a sorted tuple with i < j: a key given as (j, i) has its capacities
+    swapped, and of two entries for one pair the later wins.
     Immutable after construction; safe to share across workers.
     """
 
@@ -114,7 +116,11 @@ class HybridNetwork:
     reconf_overrides: tuple[tuple[tuple[NodeId, NodeId], tuple[float, float]], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_override_by_pair", dict(self.reconf_overrides))
+        overrides: dict[tuple[NodeId, NodeId], tuple[float, float]] = {}
+        for (i, j), (cf, cb) in self.reconf_overrides:
+            overrides[pair_key(i, j)] = (cf, cb) if i <= j else (cb, cf)
+        object.__setattr__(self, "reconf_overrides", tuple(sorted(overrides.items())))
+        object.__setattr__(self, "_override_by_pair", overrides)
         arcs = []
         for idx, link in enumerate(self.static_links):
             arcs.append(DirectedLink(link.u, link.v, LinkKind.STATIC, link.cap_uv, idx))
@@ -131,15 +137,12 @@ class HybridNetwork:
     ) -> "HybridNetwork":
         """Assemble a network with the complete reconfigurable candidate set.
 
-        ``reconf_overrides`` maps a pair (i, j) to (cap i->j, cap j->i); a key
-        given as (j, i) with j > i is stored as (i, j) with its capacities
-        swapped.  Every other pair gets ``reconf_default`` in both directions.
+        ``reconf_overrides`` maps a pair (i, j) to (cap i->j, cap j->i), in
+        either order of the pair.  Every other pair gets ``reconf_default`` in
+        both directions.
         """
         static_links = tuple(StaticLink(u, v, cf, cb) for u, v, cf, cb in static)
-        overrides: dict[tuple[NodeId, NodeId], tuple[float, float]] = {}
-        for (i, j), (cf, cb) in (reconf_overrides or {}).items():
-            overrides[pair_key(i, j)] = (cf, cb) if i <= j else (cb, cf)
-        return cls(n, static_links, reconf_default, tuple(sorted(overrides.items())))
+        return cls(n, static_links, reconf_default, tuple((reconf_overrides or {}).items()))
 
     @property
     def reconf_links(self) -> tuple[ReconfLink, ...]:

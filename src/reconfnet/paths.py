@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
+from .errors import InstanceTooLargeError
 from .model import DirectedLink, NodeId
 
 ArcPath = tuple[DirectedLink, ...]
@@ -50,7 +51,7 @@ def k_shortest_paths(
     while heap and len(found) < k:
         pops += 1
         if pops > _MAX_HEAP_POPS:
-            raise RuntimeError("k-shortest-path search exceeded its budget")
+            raise InstanceTooLargeError("k-shortest-path search exceeded its budget")
         hops, nodes, copies, node, path = heapq.heappop(heap)
         if node == dst:
             found.append(path)
@@ -85,7 +86,7 @@ def all_simple_paths(
 ) -> list[ArcPath]:
     """Every loopless path from src to dst, in deterministic DFS order.
 
-    Raises RuntimeError when more than ``limit`` paths exist.
+    Raises InstanceTooLargeError when more than ``limit`` paths exist.
     """
     adj = adjacency(arcs)
     out: list[ArcPath] = []
@@ -96,7 +97,7 @@ def all_simple_paths(
         if node == dst:
             out.append(tuple(stack_path))
             if len(out) > limit:
-                raise RuntimeError("simple-path enumeration exceeded its limit")
+                raise InstanceTooLargeError("simple-path enumeration exceeded its limit")
             return
         for arc in adj.get(node, ()):
             if arc.head in visited:

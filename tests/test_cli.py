@@ -312,3 +312,35 @@ def test_solve_rejects_bad_link_records_with_usage_exit(tmp_path, capsys) -> Non
     (line,) = err.strip().splitlines()
     assert line.startswith("error:")
     assert "NonFiniteCapacity" in line and "NodeOutOfRange" in line
+
+
+@pytest.mark.parametrize("present", [{}, {"k_values": [3]}, {"node_counts": [8]}])
+def test_experiment_plan_without_required_key_is_usage_error(tmp_path, capsys, present) -> None:
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(present))
+    code = main(["experiment", "--plan", str(plan), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for key in ("node_counts", "k_values"):
+        assert (key in err) == (key not in present)
+
+
+def test_solve_path_search_budget_is_capability_refusal(tmp_path, capsys, monkeypatch) -> None:
+    from reconfnet import paths
+
+    monkeypatch.setattr(paths, "_MAX_HEAP_POPS", 5)
+    _, topo, dem, _ = _generate(tmp_path, capsys)
+    code = main(
+        [
+            "solve",
+            "--topology", str(topo),
+            "--demands", str(dem),
+            "--routing", "ss",
+            "--algo", "greedy",
+            "--path-limit", "100000",
+        ]
+    )
+    assert code == EXIT_CAPABILITY
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "budget" in err

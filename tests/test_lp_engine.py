@@ -30,15 +30,21 @@ from .oracles import (
 )
 
 
+def _block_sizes(problem) -> dict[str, int]:
+    return {name: len(rows) for name, rows in problem.row_blocks.items()}
+
+
 def test_builder_structure_single_commodity(path_net) -> None:
     problem = build_mcrn_lp(path_net, DemandMatrix({(0, 2): 1}))
-    assert problem.commodities == ((0, 2),)
+    assert problem.sources == (0,)
     assert problem.z_pairs == ((0, 2),)  # only the demand-positive pair
-    assert problem.lp.row_count("con:") == 1  # interior node 1 only
-    assert problem.lp.row_count("dem:") == 1
-    assert problem.lp.row_count("cap:") == 4  # two static links, both directions
-    assert problem.lp.row_count("zcap:") == 1
-    assert problem.lp.row_count("deg:") == 2
+    assert _block_sizes(problem) == {
+        "flow": 2,  # nodes 1 and 2 of source 0
+        "cap": 4,  # two static links, both directions
+        "zcap": 1,
+        "deg": 2,
+    }
+    assert problem.lp.col_upper.tolist() == [math.inf] * 5 + [1.0]  # z <= 1 is a bound
 
 
 def test_builder_empty_demand_is_trivially_optimal(path_net) -> None:
@@ -49,17 +55,16 @@ def test_builder_empty_demand_is_trivially_optimal(path_net) -> None:
 
 
 def test_builder_row_counts_match_closed_form() -> None:
-    # 4-node ring with 2 commodities: conservation rows = commodities*(n-2),
-    # demand rows = commodities.
+    # 4-node ring, 3 commodities from 2 sources: flow rows = sources*(n-1),
+    # flow columns = sources*arcs, one zcap row per commodity.
     net = HybridNetwork.build(
         4, static=[(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (0, 3, 1, 1)], reconf_default=1.0
     )
-    demands = DemandMatrix({(0, 2): 1, (1, 3): 2})
+    demands = DemandMatrix({(0, 2): 1, (0, 3): 1, (1, 3): 2})
     problem = build_mcrn_lp(net, demands)
-    commodities = len(problem.commodities)
-    assert problem.lp.row_count("con:") == commodities * (net.n - 2)
-    assert problem.lp.row_count("dem:") == commodities
-    assert problem.lp.row_count("cap:") == 8
+    assert problem.sources == (0, 1)
+    assert _block_sizes(problem) == {"flow": 2 * 3, "cap": 8, "zcap": 3, "deg": 4}
+    assert problem.lp.num_vars == 1 + 2 * 8 + 3
 
 
 def test_rational_oracle_value_on_six_variable_instance(path_net) -> None:
@@ -210,8 +215,8 @@ def test_recomposition_identity_on_lp_flows(seed) -> None:
     solution = solve_lp(build_mcmf_lp(net, demands))
     if not solution.optimal:
         return
-    for commodity, links in solution.flows.items():
-        paths, cycles = decompose_commodity(commodity, links)
+    for source, links in solution.flows.items():
+        paths, cycles = decompose_commodity(source, links)
         recomposed: dict = {}
         for _, arcs, amount in paths:
             for arc in arcs:
@@ -243,4 +248,5 @@ def test_lp_dump_is_parseable_text(tmp_path, path_net) -> None:
     text = out.read_text()
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    assert "z_0_2" in text
+    bounds = text[text.index("Bounds") :]
+    assert " 0 <= z_0_2 <= 1\n" in bounds

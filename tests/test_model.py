@@ -72,6 +72,16 @@ def test_build_normalises_reversed_override_key() -> None:
     assert net.reconf_capacity(2, 0) == 5.0
 
 
+def test_constructor_normalises_override_keys_and_keeps_the_later_entry() -> None:
+    net = HybridNetwork(3, (), 1.0, (((2, 0), (5.0, 6.0)),))
+    assert net.reconf_overrides == (((0, 2), (6.0, 5.0)),)
+    assert (net.reconf_capacity(0, 2), net.reconf_capacity(2, 0)) == (6.0, 5.0)
+    overrides = (((1, 2), (3.0, 4.0)), ((0, 2), (1.0, 2.0)), ((2, 0), (7.0, 8.0)))
+    net = HybridNetwork(3, (), 1.0, overrides)
+    assert net.reconf_overrides == (((0, 2), (8.0, 7.0)), ((1, 2), (3.0, 4.0)))
+    assert net == HybridNetwork.build(3, reconf_overrides={(1, 2): (3.0, 4.0), (0, 2): (8.0, 7.0)})
+
+
 def test_default_capacity_counts_only_while_some_pair_uses_it() -> None:
     net = HybridNetwork.build(2, reconf_default=9.0, reconf_overrides={(0, 1): (1.0, 2.0)})
     assert (net.c_min, net.c_max) == (1.0, 2.0)

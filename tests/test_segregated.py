@@ -39,19 +39,19 @@ def _solution(net, demands, z, flows) -> LpSolution:
 
 
 def test_round_up_above_half(path_net) -> None:
-    solution = _solution(path_net, DemandMatrix({(0, 1): 1}), {(0, 1): 0.6}, {(0, 1): {}})
+    solution = _solution(path_net, DemandMatrix({(0, 1): 1}), {(0, 1): 0.6}, {0: {}})
     assert round_matching(solution) == Matching([(0, 1)])
 
 
 def test_round_down_at_exactly_half(path_net) -> None:
-    solution = _solution(path_net, DemandMatrix({(0, 1): 1}), {(0, 1): 0.5}, {(0, 1): {}})
+    solution = _solution(path_net, DemandMatrix({(0, 1): 1}), {(0, 1): 0.5}, {0: {}})
     assert round_matching(solution) == Matching([])
 
 
 def test_round_keeps_matching_valid_under_degree_bound(path_net) -> None:
     demands = DemandMatrix({(0, 1): 1, (0, 2): 1})
     solution = _solution(
-        path_net, demands, {(0, 1): 0.51, (0, 2): 0.49}, {(0, 1): {}, (0, 2): {}}
+        path_net, demands, {(0, 1): 0.51, (0, 2): 0.49}, {0: {}}
     )
     assert round_matching(solution) == Matching([(0, 1)])
 
@@ -69,7 +69,7 @@ def test_round_takes_one_pair_per_node_within_degree_tolerance(
     path_net, z01, z02, expected
 ) -> None:
     demands = DemandMatrix({(0, 1): 1, (0, 2): 1})
-    solution = _solution(path_net, demands, {(0, 1): z01, (0, 2): z02}, {(0, 1): {}, (0, 2): {}})
+    solution = _solution(path_net, demands, {(0, 1): z01, (0, 2): z02}, {0: {}})
     assert round_matching(solution) == Matching([expected])
 
 
@@ -78,7 +78,7 @@ def test_rescale_divides_by_one_minus_z(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
     solution = _solution(
-        path_net, demands, {(0, 2): 0.4}, {(0, 2): {a01: 1.8, a12: 1.8}}
+        path_net, demands, {(0, 2): 0.4}, {0: {a01: 1.8, a12: 1.8}}
     )
     flow = rescale_flows(solution, Matching([]))
     assert flow.net_outflow((0, 2), 0) == pytest.approx(3.0, abs=1e-9)
@@ -90,7 +90,7 @@ def test_rescale_routes_matched_demand_on_reconf_link(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
     solution = _solution(
-        path_net, demands, {(0, 2): 0.6}, {(0, 2): {a01: 1.2, a12: 1.2}}
+        path_net, demands, {(0, 2): 0.6}, {0: {a01: 1.2, a12: 1.2}}
     )
     flow = rescale_flows(solution, Matching([(0, 2)]))
     links = flow.by_commodity[(0, 2)]
@@ -102,7 +102,7 @@ def test_rescale_identity_when_z_zero(path_net) -> None:
     demands = DemandMatrix({(0, 2): 1})
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    solution = _solution(path_net, demands, {(0, 2): 0.0}, {(0, 2): {a01: 1.0, a12: 1.0}})
+    solution = _solution(path_net, demands, {(0, 2): 0.0}, {0: {a01: 1.0, a12: 1.0}})
     flow = rescale_flows(solution, Matching([]))
     assert flow.by_commodity[(0, 2)][a01] == pytest.approx(1.0)
     assert flow.by_commodity[(0, 2)][a12] == pytest.approx(1.0)
