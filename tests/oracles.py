@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from reconfnet.evaluation import EvalSpec, _enumerate_matchings, eval_matching
 from reconfnet.model import DemandMatrix, DirectedLink, HybridNetwork, Matching, pair_key
 from reconfnet.paths import all_simple_paths
 
@@ -139,6 +140,20 @@ def exhaustive_ss_opt(net: HybridNetwork, demands: DemandMatrix) -> tuple[Matchi
         if cost < best - 1e-12:
             best_matching, best = matching, cost
     return best_matching, best
+
+
+def cold_matching_minimum(net: HybridNetwork, demands: DemandMatrix, spec: EvalSpec) -> float:
+    """Least ``eval_matching`` load over the matchings ``brute_force_opt``
+    enumerates, each priced on its own freshly built LP (the reference for
+    any optimizer that re-solves one model across matchings)."""
+    if spec.routing.segregated:
+        pairs, maximal_only = list(demands.positive_pairs()), False
+    else:
+        pairs, maximal_only = list(itertools.combinations(range(net.n), 2)), True
+    return min(
+        eval_matching(net, demands, matching, EvalSpec(spec.routing)).max_load
+        for matching in _enumerate_matchings(pairs, maximal_only=maximal_only)
+    )
 
 
 def exhaustive_max_weight(pairs_with_weights) -> float:

@@ -3,7 +3,7 @@
 Networks have at most seven nodes and a connected static topology; every
 capacity and demand is drawn from {1, 2, 3}.  The properties hold for any
 correct LP formulation and any path decomposition, so they guard changes to
-either.
+either.  Demand files and seeded solves get a round trip and a repeat.
 """
 
 from __future__ import annotations
@@ -11,23 +11,25 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt
 from reconfnet.lp import build_mcmf_lp, solve_lp
 from reconfnet.model import DemandMatrix, HybridNetwork
-from reconfnet.segregated import solve_ss, solve_us
+from reconfnet.segregated import solve_single_source_ss, solve_ss, solve_us
+from reconfnet.workloads import load_trace, write_demands
 
-from .oracles import path_lp_congestion
+from .oracles import cold_matching_minimum, path_lp_congestion
 
 UNIT = st.sampled_from([1.0, 2.0, 3.0])
 
 
 @st.composite
-def instances(draw) -> tuple[HybridNetwork, DemandMatrix]:
+def instances(draw, max_n: int = 7) -> tuple[HybridNetwork, DemandMatrix]:
     """A random spanning tree plus extra links, some reconfigurable
     overrides, and up to 2n demands between distinct nodes."""
-    n = draw(st.integers(3, 7))
+    n = draw(st.integers(3, max_n))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=n))
@@ -71,3 +73,48 @@ def test_mcmf_objective_equals_the_path_oracle(instance) -> None:
     assert solution.optimal
     oracle = path_lp_congestion(net.static_arcs(), demands)
     assert solution.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+
+
+@settings(max_examples=40)
+@given(instance=instances(max_n=6))
+def test_enumerated_optima_equal_the_least_cold_evaluation(instance) -> None:
+    net, demands = instance
+    for routing in (RoutingModel.SS, RoutingModel.SN):
+        spec = EvalSpec(routing)
+        _, report = brute_force_opt(net, demands, spec)
+        assert report.max_load == pytest.approx(
+            cold_matching_minimum(net, demands, spec), rel=1e-9, abs=1e-12
+        )
+    source = min(demands.commodities())[0]
+    single = DemandMatrix({c: d for c, d in demands.entries.items() if c[0] == source})
+    oracle = cold_matching_minimum(net, single, EvalSpec(RoutingModel.SS))
+    assert solve_single_source_ss(net, single).max_load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+DEMAND = st.floats(1e-3, 1e6).map(lambda x: float(f"{x:.12g}"))  # what the file keeps
+
+
+@settings(max_examples=30)
+@given(
+    entries=st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda p: p[0] != p[1]),
+        DEMAND,
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_demand_file_round_trip_keeps_every_entry(entries, tmp_path_factory) -> None:
+    path = tmp_path_factory.mktemp("demands") / "demands.csv"
+    write_demands(DemandMatrix(entries), path)
+    loaded, _ = load_trace(path, remap=False)
+    assert loaded.entries == entries
+
+
+@settings(max_examples=15)
+@given(instance=instances(), seed=st.integers(0, 2**31 - 1))
+def test_solve_us_repeats_itself_for_a_fixed_seed(instance, seed) -> None:
+    net, demands = instance
+    first, second = (solve_us(net, demands, trials=3, seed=seed) for _ in range(2))
+    assert first.matching == second.matching
+    assert first.flow.paths == second.flow.paths
+    assert first.max_load == second.max_load
