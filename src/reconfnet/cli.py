@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .baselines import greedy_matching, max_weight_matching, oblivious
@@ -253,10 +254,9 @@ def _cmd_experiment(args) -> int:
     plan_path = Path(args.plan)
     with open(plan_path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if args.seed is not None:
-        payload["base_seed"] = args.seed
-        payload.pop("seeds", None)
     plan = plan_from_json(payload)
+    if args.seed is not None:
+        plan = replace(plan, base_seed=args.seed, seeds=None)
     if plan.trace_path is not None and not Path(plan.trace_path).exists():
         raise FileNotFoundError(f"trace file not found: {plan.trace_path}")
     out_dir = Path(args.out_dir)

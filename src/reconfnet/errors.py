@@ -37,6 +37,10 @@ class NumericalFailureError(ReconfNetError):
     """The LP solver did not converge; the result is reported, never guessed."""
 
 
+class SolverUnavailableError(ReconfNetError):
+    """The installed scipy lacks the HiGHS binding the LP solver calls."""
+
+
 class NotSingleSourceError(ReconfNetError):
     """The demand matrix is not single-source (or single-destination)."""
 

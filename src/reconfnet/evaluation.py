@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -15,8 +16,10 @@ from .errors import (
     InstanceTooLargeError,
     NonUniformCapacitiesError,
     NotSingleCommodityError,
+    NumericalFailureError,
 )
 from .lp import build_mcmf_lp, scale_paths_to, solve_lp, solver_noise
+from .lp.builder import _check_feasible
 from .lp.linprog import LinearProgram, LpStatus, solve_simplex
 from .maxflow import max_flow_with_matching
 from .model import (
@@ -26,6 +29,7 @@ from .model import (
     Flow,
     FlowPath,
     HybridNetwork,
+    LinkKind,
     Matching,
     NodeId,
     congestion_of,
@@ -334,14 +338,83 @@ def brute_force_opt(
         base_pairs = list(demands.positive_pairs())
     else:
         base_pairs = list(itertools.combinations(range(net.n), 2))
+    matchings = _enumerate_matchings(base_pairs, maximal_only=not spec.routing.segregated)
 
+    if spec.routing.splittable:
+        priced = _price_matchings(net, demands, matchings, spec.routing)
+        matching = _first_cheapest((m, math.inf if p is None else p) for m, p in priced)
+        return matching, eval_matching(net, demands, matching, EvalSpec(routing=spec.routing))
     best: tuple[Matching, CongestionReport] | None = None
-    for matching in _enumerate_matchings(base_pairs, maximal_only=not spec.routing.segregated):
-        report = _exact_matching_cost(net, demands, matching, spec)
+    for matching in matchings:
+        report = _unsplittable_cost(net, demands, matching, spec)
         if best is None or report.max_load < best[1].max_load - 1e-12:
             best = (matching, report)
     assert best is not None  # at least one (maximal) matching always exists
     return best
+
+
+def _first_cheapest(priced: Iterable[tuple[Matching, float]]) -> Matching:
+    """The first matching no later one undercuts by more than 1e-12."""
+    best: tuple[Matching, float] | None = None
+    for matching, price in priced:
+        if best is None or price < best[1] - 1e-12:
+            best = (matching, price)
+    assert best is not None  # at least one (maximal) matching always exists
+    return best[0]
+
+
+def _price_matchings(
+    net: HybridNetwork,
+    demands: DemandMatrix,
+    matchings: Iterable[Matching],
+    routing: RoutingModel,
+) -> Iterator[tuple[Matching, float | None]]:
+    """Each matching with its exact splittable load, or None when some
+    demand has no route; every price re-solves one LP warm.
+
+    The LP holds every commodity.  Under ``ss`` it routes over the static
+    arcs, a matched commodity's sink row drops its demand, and the price also
+    covers the load d/cap on its reconfigurable arc.  Under ``sn`` every
+    candidate reconfigurable arc of positive capacity is a column, and an
+    inactive one is capped at 0.
+    """
+    arcs = tuple(a for a in net.static_arcs() if a.capacity > 0)
+    if not routing.segregated:
+        pairs = itertools.combinations(range(net.n), 2)
+        arcs += tuple(a for i, j in pairs for a in Matching([(i, j)]).arcs(net) if a.capacity > 0)
+    problem = build_mcmf_lp(arcs, demands)
+    if problem.trivially_optimal:
+        yield from ((matching, 0.0) for matching in matchings)
+        return
+    lp = problem.lp
+    commodities = demands.commodities()
+    sink_rows = problem.sink_rows(commodities)
+    demand = lp.row_lower[sink_rows].copy()
+    caps = [net.reconf_capacity(*c) for c in commodities]
+    offload = np.array(
+        [demands.get(*c) / cap if cap > 0 else math.inf for c, cap in zip(commodities, caps)]
+    )
+    block_starts = 1 + np.arange(len(problem.sources)) * len(problem.arcs)
+    arc_columns: dict[tuple[NodeId, NodeId], list[int]] = {}  # every source's, per pair
+    for a, arc in enumerate(problem.arcs):
+        if arc.kind is LinkKind.RECONFIGURABLE:
+            arc_columns.setdefault(pair_key(arc.tail, arc.head), []).extend(block_starts + a)
+    for matching in matchings:
+        offloaded = 0.0
+        if routing.segregated:
+            matched = np.array([pair_key(*c) in matching for c in commodities])
+            lp.row_lower[sink_rows] = np.where(matched, 0.0, demand)
+            offloaded = float(np.max(offload[matched], initial=0.0))
+        for pair, columns in arc_columns.items():
+            lp.col_upper[columns] = np.inf if pair in matching else 0.0
+        result = solve_simplex(lp, warm=True)
+        if result.status is LpStatus.UNBOUNDED:
+            raise NumericalFailureError("congestion LP reported unbounded")
+        if result.status is LpStatus.INFEASIBLE:
+            yield matching, None
+            continue
+        _check_feasible(problem, result.x)
+        yield matching, max(offloaded, result.objective * problem.demand_scale)
 
 
 def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]], maximal_only: bool = False):
@@ -364,17 +437,14 @@ def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]], maximal_only: bool 
     yield from extend(0, [], set())
 
 
-def _exact_matching_cost(
+def _unsplittable_cost(
     net: HybridNetwork,
     demands: DemandMatrix,
     matching: Matching,
     spec: EvalSpec,
 ) -> CongestionReport:
-    # The oracle always prices matchings exactly: unrestricted LP for
-    # splittable routing, exhaustive simple-path assignment otherwise.
-    if spec.routing.splittable:
-        return eval_matching(net, demands, matching, EvalSpec(routing=spec.routing))
-
+    """Exact unsplittable cost of one matching: every assignment of one
+    simple path per residual commodity is tried."""
     fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
     menus: list[tuple[tuple[NodeId, NodeId], list[tuple[DirectedLink, ...]]]] = []

@@ -348,12 +348,21 @@ def plan_from_json(payload: dict) -> ExperimentPlan:
 
     When the plan does not pin a path limit, splittable runs default to the
     three shortest paths and unsplittable runs to one, the usual operational
-    restriction at these scales.  A plan without ``node_counts`` or
-    ``k_values`` is refused with an error naming the missing keys.
+    restriction at these scales.  A plan that is not a JSON object, lacks
+    ``node_counts`` or ``k_values``, or holds anything but a list of integers
+    under them or ``seeds`` is refused with an error naming the key.
     """
+    if not isinstance(payload, dict):
+        raise ReconfNetError(f"plan must be a JSON object, not a {type(payload).__name__}")
     missing = [key for key in ("node_counts", "k_values") if key not in payload]
     if missing:
         raise ReconfNetError(f"plan is missing the required key(s): {', '.join(missing)}")
+    for key in ("node_counts", "k_values", "seeds"):
+        value = payload.get(key, [])
+        if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value
+        ):
+            raise ReconfNetError(f"plan key {key!r} must be a list of integers, not {value!r}")
     eval_payload = payload.get("eval", {})
     routing = RoutingModel(eval_payload.get("routing", "ss"))
     default_limit = 3 if routing.splittable else 1

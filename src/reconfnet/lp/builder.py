@@ -58,6 +58,13 @@ class LpProblem:
     def trivially_optimal(self) -> bool:
         return not self.sources
 
+    def sink_rows(self, commodities: Sequence[tuple[NodeId, NodeId]]) -> np.ndarray:
+        """The flow row of each commodity's sink: the one row whose lower
+        bound is that commodity's demand."""
+        s, t = np.array(commodities, dtype=np.int64).reshape(-1, 2).T
+        per_source = len(self.row_blocks["flow"]) // len(self.sources)  # n - 1 each
+        return np.searchsorted(self.sources, s) * per_source + t - (t > s)
+
 
 @dataclass
 class LpSolution:

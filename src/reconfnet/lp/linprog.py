@@ -2,26 +2,41 @@
 
 A ``LinearProgram`` is matrix-first: a sparse constraint matrix with row
 lower and upper bounds, column upper bounds (every column is nonnegative)
-and a cost vector.  ``solve_simplex`` hands it to ``scipy.optimize.linprog``
-and reports the status, objective and primal vector; callers check the
-result (residuals, degree bound) themselves rather than trusting the solver.
+and a cost vector.  ``solve_simplex`` hands it to HiGHS as it is (HiGHS takes
+ranged rows) and reports the status, objective and primal vector; callers
+check the result (residuals, degree bound) themselves rather than trusting
+the solver.
+
+This module is the one place that imports scipy's private HiGHS binding,
+``scipy.optimize._highspy._core``; scipy's own ``linprog`` costs more per
+call than the dual simplex does on the toolkit's smallest LPs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
 
-from ..errors import NumericalFailureError
+from ..errors import NumericalFailureError, SolverUnavailableError
 
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+@dataclass
+class _Held:
+    """A HiGHS model kept between solves, with the bounds it was last given."""
+
+    highs: object
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_upper: np.ndarray
 
 
 @dataclass
@@ -34,6 +49,7 @@ class LinearProgram:
     row_upper: np.ndarray
     col_upper: np.ndarray
     cost: np.ndarray
+    _held: _Held | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:
@@ -58,54 +74,88 @@ class SimplexResult:
     iterations: int
 
 
-_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+def _binding():
+    """scipy's HiGHS binding, imported on first use: scipy.optimize adds
+    about 40 MiB to a process, and LP-free callers never need it."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        import scipy
+
+        raise SolverUnavailableError(
+            f"scipy {scipy.__version__} lacks the HiGHS binding "
+            f"scipy.optimize._highspy._core that the LP solver calls: {exc}"
+        ) from exc
+    return _core
 
 
-def solve_simplex(lp: LinearProgram) -> SimplexResult:
+def solve_simplex(lp: LinearProgram, warm: bool = False) -> SimplexResult:
     """Solve ``lp`` with HiGHS's dual simplex.
 
-    Rows with equal bounds form the equality block; the finite upper bounds,
-    then the negated finite lower bounds, form the inequality block.  Any
-    HiGHS outcome other than optimal, infeasible or unbounded (iteration
-    limit, numerical trouble) raises.
+    With ``warm`` the HiGHS model stays with ``lp``.  A later warm call on the
+    same ``lp`` re-solves that model from its last basis, after pushing only
+    the row and column bounds that changed since; the matrix and cost must
+    not change in between.  Any HiGHS outcome other than optimal, infeasible
+    or unbounded (iteration limit, numerical trouble) raises.
     """
-    # Deferred: scipy.optimize and scipy.sparse add about 40 MiB to a
-    # process, and LP-free callers of the package never need them.
-    from scipy.optimize import linprog
+    core = _binding()
+    held = lp._held if warm else None
+    if held is None:
+        held = _load(core, lp)
+        if warm:
+            lp._held = held
+    else:
+        _push_bounds(held, lp)
+    highs = held.highs
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count
+    if model_status == core.HighsModelStatus.kOptimal:
+        x = np.array(highs.getSolution().col_value)
+        return SimplexResult(LpStatus.OPTIMAL, info.objective_function_value, x, iterations)
+    if model_status == core.HighsModelStatus.kInfeasible:
+        return SimplexResult(LpStatus.INFEASIBLE, float("nan"), np.zeros(lp.num_vars), iterations)
+    if model_status == core.HighsModelStatus.kUnbounded:
+        return SimplexResult(LpStatus.UNBOUNDED, float("-inf"), np.zeros(lp.num_vars), iterations)
+    status = highs.modelStatusToString(model_status)
+    raise NumericalFailureError(f"HiGHS stopped with status {status}")
 
-    eq = lp.row_lower == lp.row_upper
-    upper = ~eq & np.isfinite(lp.row_upper)
-    lower = ~eq & np.isfinite(lp.row_lower)
-    res = linprog(
-        lp.cost,
-        A_ub=_stack_rows(lp.matrix, [(upper, 1.0), (lower, -1.0)]),
-        b_ub=np.concatenate([lp.row_upper[upper], -lp.row_lower[lower]]),
-        A_eq=_stack_rows(lp.matrix, [(eq, 1.0)]),
-        b_eq=lp.row_lower[eq],
-        bounds=np.column_stack([np.zeros(lp.num_vars), lp.col_upper]),
-        method="highs-ds",
-    )
-    status = _STATUS.get(res.status)
-    if status is None:
-        raise NumericalFailureError(f"HiGHS stopped with status {res.status}: {res.message}")
-    if status is LpStatus.OPTIMAL:
-        return SimplexResult(status, float(res.fun), res.x, res.nit)
-    objective = float("nan") if status is LpStatus.INFEASIBLE else float("-inf")
-    return SimplexResult(status, objective, np.zeros(lp.num_vars), res.nit)
+
+def _load(core, lp: LinearProgram) -> _Held:
+    """A fresh HiGHS instance holding ``lp``, with the options scipy's
+    ``linprog(method="highs-ds")`` sets."""
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("solver", "simplex")
+    highs.setOptionValue("simplex_strategy", 1)  # dual
+    csc = lp.matrix.tocsc()
+    model = core.HighsLp()
+    model.num_row_, model.num_col_ = csc.shape
+    model.col_cost_ = lp.cost
+    model.col_lower_ = np.zeros(lp.num_vars)
+    model.col_upper_ = lp.col_upper
+    model.row_lower_ = lp.row_lower
+    model.row_upper_ = lp.row_upper
+    matrix = model.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_row_, matrix.num_col_ = csc.shape
+    matrix.start_ = csc.indptr
+    matrix.index_ = csc.indices
+    matrix.value_ = csc.data
+    if highs.passModel(model) == core.HighsStatus.kError:
+        raise NumericalFailureError("HiGHS rejected the model")
+    return _Held(highs, lp.row_lower.copy(), lp.row_upper.copy(), lp.col_upper.copy())
 
 
-def _stack_rows(matrix, parts):
-    """The rows of the COO ``matrix`` picked by each (mask, sign) of
-    ``parts``, times that sign and stacked in order.  Sparse row indexing
-    costs more than the solve on the toolkit's smallest LPs."""
-    import scipy.sparse as sp
-
-    data, rows, cols, top = [], [], [], 0
-    for mask, sign in parts:
-        take = mask[matrix.row]
-        data.append(sign * matrix.data[take])
-        rows.append(top + np.cumsum(mask)[matrix.row[take]] - 1)
-        cols.append(matrix.col[take])
-        top += int(mask.sum())
-    coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    return sp.coo_array(coo, shape=(top, matrix.shape[1]))
+def _push_bounds(held: _Held, lp: LinearProgram) -> None:
+    """Send HiGHS the row and column bounds of ``lp`` that differ from the
+    ones it holds."""
+    rows = np.flatnonzero((lp.row_lower != held.row_lower) | (lp.row_upper != held.row_upper))
+    for r in rows.tolist():
+        held.highs.changeRowBounds(r, lp.row_lower[r], lp.row_upper[r])
+    for c in np.flatnonzero(lp.col_upper != held.col_upper).tolist():
+        held.highs.changeColBounds(c, 0.0, lp.col_upper[c])
+    held.row_lower[rows] = lp.row_lower[rows]
+    held.row_upper[rows] = lp.row_upper[rows]
+    held.col_upper[:] = lp.col_upper

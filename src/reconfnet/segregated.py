@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleDemandError, NotSingleSourceError
 from .evaluation import default_trials  # noqa: F401  still importable from here
 from .evaluation import EvalSpec, RoutingModel, offload_paths, route_matching
+from .evaluation import _first_cheapest, _price_matchings
 from .lp import LpSolution, build_mcrn_lp, solve_lp
 from .model import (
     CongestionReport,
@@ -135,9 +136,9 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     single-destination) demands.
 
     All demand-positive pairs share a node, so a matching can activate at
-    most one of them: enumerate the empty matching plus every singleton,
-    route each candidate exactly with ``route_matching`` under ``ss``, and
-    keep the best.
+    most one of them: price the empty matching plus every singleton exactly
+    on one warm LP, then route the cheapest with ``route_matching`` under
+    ``ss``.
     """
     ensure_valid(net, demands)
     if demands.is_empty:
@@ -151,18 +152,12 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     ):
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
-    candidates: list[Matching] = [Matching()]
-    for pair in demands.positive_pairs():
-        candidates.append(Matching([pair]))
-
-    best: RoundedSolution | None = None
-    for matching in candidates:
-        flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
-        if flow is None:
-            continue
-        report = congestion_of(net, matching, flow)
-        if best is None or report.max_load < best.max_load - 1e-12:
-            best = RoundedSolution(matching, flow, report.max_load, report.max_load, report)
-    if best is None:
+    candidates = [Matching()] + [Matching([pair]) for pair in demands.positive_pairs()]
+    priced = _price_matchings(net, demands, candidates, RoutingModel.SS)
+    routable = [(matching, price) for matching, price in priced if price is not None]
+    if not routable:
         raise InfeasibleDemandError("no candidate matching can serve the demands")
-    return best
+    matching = _first_cheapest(routable)
+    flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
+    report = congestion_of(net, matching, flow)
+    return RoundedSolution(matching, flow, report.max_load, report.max_load, report)

@@ -326,6 +326,22 @@ def test_experiment_plan_without_required_key_is_usage_error(tmp_path, capsys, p
         assert (key in err) == (key not in present)
 
 
+@pytest.mark.parametrize(
+    "payload, seed, named",
+    [({"node_counts": 8, "k_values": [3]}, [], "node_counts"), ([], ["--seed", "3"], "JSON object")],
+)
+def test_experiment_plan_with_wrong_types_is_usage_error(
+    tmp_path, capsys, payload, seed, named
+) -> None:
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(payload))
+    code = main(["experiment", "--plan", str(plan), "--out-dir", str(tmp_path / "o"), *seed])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
 def test_solve_path_search_budget_is_capability_refusal(tmp_path, capsys, monkeypatch) -> None:
     from reconfnet import paths
 

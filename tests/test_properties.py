@@ -88,7 +88,8 @@ def test_enumerated_optima_equal_the_least_cold_evaluation(instance) -> None:
     source = min(demands.commodities())[0]
     single = DemandMatrix({c: d for c, d in demands.entries.items() if c[0] == source})
     oracle = cold_matching_minimum(net, single, EvalSpec(RoutingModel.SS))
-    assert solve_single_source_ss(net, single).max_load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    load = solve_single_source_ss(net, single).max_load
+    assert load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 DEMAND = st.floats(1e-3, 1e6).map(lambda x: float(f"{x:.12g}"))  # what the file keeps
