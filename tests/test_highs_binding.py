@@ -41,8 +41,8 @@ def test_binding_has_every_name_the_adapter_uses() -> None:
 
     missing = [name for name in HIGHS_METHODS if not callable(getattr(_core._Highs, name, None))]
     assert missing == []
-    assert _core.MatrixFormat.kColwise is not None
-    assert _core.HighsStatus.kError is not None
+    assert hasattr(_core.MatrixFormat, "kColwise")
+    assert hasattr(_core.HighsStatus, "kError")
     for status in ("kOptimal", "kInfeasible", "kUnbounded"):
         assert hasattr(_core.HighsModelStatus, status)
     model = _core.HighsLp()
@@ -50,9 +50,10 @@ def test_binding_has_every_name_the_adapter_uses() -> None:
         assert hasattr(model, attr)
     for attr in ("row_lower_", "row_upper_", "a_matrix_"):
         assert hasattr(model, attr)
+    for attr in ("format_", "num_row_", "num_col_", "start_", "index_", "value_"):
+        assert hasattr(model.a_matrix_, attr)
     info = _core._Highs().getInfo()
     assert hasattr(info, "simplex_iteration_count") and hasattr(info, "objective_function_value")
-
 
 BLOCKED = """
 import sys
