@@ -16,19 +16,27 @@ from hypothesis import strategies as st
 
 from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt
 from reconfnet.lp import build_mcmf_lp, solve_lp
-from reconfnet.model import DemandMatrix, HybridNetwork
+from reconfnet.model import DemandMatrix, HybridNetwork, pair_key
 from reconfnet.segregated import solve_single_source_ss, solve_ss, solve_us
 from reconfnet.workloads import load_trace, write_demands
 
-from .oracles import cold_matching_minimum, path_lp_congestion
+from .oracles import (
+    cold_matching_minimum,
+    enumerate_matchings,
+    exhaustive_unsplittable_congestion,
+    path_lp_congestion,
+)
 
 UNIT = st.sampled_from([1.0, 2.0, 3.0])
 
 
 @st.composite
-def instances(draw, max_n: int = 7) -> tuple[HybridNetwork, DemandMatrix]:
+def instances(
+    draw, max_n: int = 7, max_demands: int | None = None
+) -> tuple[HybridNetwork, DemandMatrix]:
     """A random spanning tree plus extra links, some reconfigurable
-    overrides, and up to 2n demands between distinct nodes."""
+    overrides, and up to 2n (or ``max_demands``) demands between distinct
+    nodes."""
     n = draw(st.integers(3, max_n))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
@@ -36,7 +44,8 @@ def instances(draw, max_n: int = 7) -> tuple[HybridNetwork, DemandMatrix]:
     static = [(u, v, draw(UNIT), draw(UNIT)) for u, v in tree + extra]
     overrides = draw(st.dictionaries(st.sampled_from(pairs), st.tuples(UNIT, UNIT), max_size=n))
     net = HybridNetwork.build(n, static, draw(UNIT), overrides)
-    entries = draw(st.dictionaries(st.sampled_from(pairs), UNIT, min_size=1, max_size=2 * n))
+    size = 2 * n if max_demands is None else max_demands
+    entries = draw(st.dictionaries(st.sampled_from(pairs), UNIT, min_size=1, max_size=size))
     return net, DemandMatrix(entries)
 
 
@@ -90,6 +99,24 @@ def test_enumerated_optima_equal_the_least_cold_evaluation(instance) -> None:
     oracle = cold_matching_minimum(net, single, EvalSpec(RoutingModel.SS))
     load = solve_single_source_ss(net, single).max_load
     assert load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+@given(instance=instances(max_n=6, max_demands=3))
+def test_unsplittable_segregated_optimum_equals_the_exhaustive_oracle(instance) -> None:
+    net, demands = instance
+    _, report = brute_force_opt(net, demands, EvalSpec(RoutingModel.US))
+    oracle = math.inf
+    for matching in enumerate_matchings(demands.positive_pairs()):
+        offload = [
+            d / net.reconf_capacity(*c)
+            for c, d in demands.entries.items()
+            if pair_key(*c) in matching
+        ]
+        static = exhaustive_unsplittable_congestion(
+            net.static_arcs(), demands.without_pairs(matching.pairs)
+        )
+        oracle = min(oracle, max(offload + [static]))
+    assert report.max_load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 DEMAND = st.floats(1e-3, 1e6).map(lambda x: float(f"{x:.12g}"))  # what the file keeps
