@@ -41,6 +41,7 @@ from .lp import build_mcrn_lp, write_lp
 from .model import (
     DemandStructure,
     Matching,
+    arc_order,
     classify_demands,
     ensure_valid,
     read_topology,
@@ -192,10 +193,7 @@ def _cmd_solve(args) -> int:
             for i, j in matching.pairs:
                 fh.write(f"{i} {j}\n")
 
-    top = sorted(
-        report.per_link_loads.items(),
-        key=lambda kv: (-kv[1], kv[0].tail, kv[0].head, kv[0].kind.value, kv[0].copy),
-    )[:10]
+    top = sorted(report.per_link_loads.items(), key=lambda kv: (-kv[1], arc_order(kv[0])))[:10]
     if args.json:
         payload = {
             "congestion": report.max_load,

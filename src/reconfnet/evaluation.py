@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .lp.builder import _check_feasible
 from .lp.linprog import LinearProgram, LpStatus, solve_simplex
 from .maxflow import max_flow_with_matching
 from .model import (
+    ArcIds,
     CongestionReport,
     DemandMatrix,
     DirectedLink,
@@ -32,11 +33,12 @@ from .model import (
     LinkKind,
     Matching,
     NodeId,
+    arc_order,
     congestion_of,
     infinite_congestion,
     pair_key,
 )
-from .paths import all_simple_paths, k_shortest_paths
+from .paths import ArcPath, all_simple_paths, k_shortest_paths
 
 
 class RoutingModel(Enum):
@@ -129,10 +131,8 @@ def _restricted_path_lp(
     total = len(rows) + 1
     cols = list(range(1, total))
     vals = [1.0] * len(cols)
-    ordered = sorted(arc_vars, key=lambda a: (a.tail, a.head, a.kind.value, a.copy))
+    ordered = sorted(arc_vars, key=arc_order)
     for r, arc in enumerate(ordered, start=len(commodities)):
-        if arc.capacity <= 0:
-            return None  # menus are built over positive-capacity arcs
         rows.extend([r] * (len(arc_vars[arc]) + 1))
         cols.extend(arc_vars[arc] + [0])
         vals.extend([1.0 / arc.capacity] * len(arc_vars[arc]) + [-1.0])
@@ -174,32 +174,43 @@ def _route_splittable_exact(
     }
 
 
-def _best_rounding(
-    menus: dict[tuple[NodeId, NodeId], list[FlowPath]],
-    demands: DemandMatrix,
-    net: HybridNetwork,
-    matching: Matching,
-    fixed: list[FlowPath],
-    trials: int,
-    seed: int,
-) -> Flow:
+def _best_rounding(menus: Iterable[list[FlowPath]], trials: int, seed: int) -> Iterator[list[int]]:
+    """The seeded draws of randomized rounding: per trial, one path index per
+    commodity, drawn with probability proportional to the path amounts."""
     rng = np.random.default_rng(seed)
-    ordered = sorted(menus)
-    best: tuple[Flow, CongestionReport] | None = None
+    weights = [np.array([amount for (_, _, amount) in paths]) for paths in menus]
     for _ in range(max(trials, 1)):
-        sampled = list(fixed)
-        for commodity in ordered:
-            paths = menus[commodity]
-            weights = np.array([amount for (_, _, amount) in paths])
-            probs = weights / weights.sum()
-            index = int(rng.choice(len(paths), p=probs))
-            sampled.append((commodity, paths[index][1], demands.get(*commodity)))
-        flow = Flow.from_paths(sampled)
-        report = congestion_of(net, matching, flow)
-        if best is None or report.max_load < best[1].max_load:
-            best = (flow, report)
-    assert best is not None
-    return best[0]
+        yield [int(rng.choice(len(w), p=w / w.sum())) for w in weights]
+
+
+def _cheapest_routing(
+    numbered: ArcIds,
+    fixed: list[FlowPath],
+    menus: Sequence[tuple[tuple[NodeId, NodeId], float, Sequence[ArcPath]]],
+    assignments: Iterable[Sequence[int]],
+) -> tuple[Flow, float]:
+    """The first cheapest of ``assignments`` as a flow, with its load.
+
+    ``menus`` lists each residual commodity with its demand and path menu;
+    an assignment picks one menu index per commodity.  Its loads are one
+    ``bincount`` over arc ids, fixed paths first, which adds each arc's flow
+    in the order ``congestion_of`` does; only the winner becomes a ``Flow``."""
+    fixed_ids = np.array([numbered.id[a] for _, arcs, _ in fixed for a in arcs], dtype=np.intp)
+    fixed_amounts = np.array([d for _, arcs, d in fixed for _ in arcs])
+    ids = [[np.array([numbered.id[a] for a in arcs]) for arcs in menu] for _, _, menu in menus]
+    amounts = [[np.full(len(arcs), d) for arcs in menu] for _, d, menu in menus]
+
+    def priced() -> Iterator[tuple[Sequence[int], float]]:
+        for assignment in assignments:
+            picks = list(zip(ids, amounts, assignment))
+            arc_ids = np.concatenate([fixed_ids] + [i[k] for i, _, k in picks])
+            flow = np.concatenate([fixed_amounts] + [a[k] for _, a, k in picks])
+            loads = numbered.loads(arc_ids, flow)
+            yield assignment, float(loads.max(initial=0.0))
+
+    assignment, load = _first_cheapest(priced())
+    chosen = [(commodity, menu[k], d) for (commodity, d, menu), k in zip(menus, assignment)]
+    return Flow.from_paths(list(fixed) + chosen), load
 
 
 def eval_matching(
@@ -256,11 +267,13 @@ def route_matching(
         return Flow.from_paths(fixed + [p for commodity in sorted(menus) for p in menus[commodity]])
 
     # unsplittable: each commodity takes one path of its optimal split
-    menus = {c: [p for p in paths if p[2] > 0] for c, paths in menus.items()}
-    if not all(menus.values()):
+    split = {c: [p for p in paths if p[2] > 0] for c, paths in sorted(menus.items())}
+    if not all(split.values()):
         return None
     trials = spec.trials if spec.trials is not None else default_trials(net)
-    return _best_rounding(menus, residual, net, matching, fixed, trials, spec.seed)
+    draws = _best_rounding(split.values(), trials, spec.seed)
+    rounded = [(c, residual.get(*c), [arcs for _, arcs, _ in paths]) for c, paths in split.items()]
+    return _cheapest_routing(ArcIds.network(net, matching), fixed, rounded, draws)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +327,7 @@ def _uniform_capacity(net: HybridNetwork) -> float:
 # ---------------------------------------------------------------------------
 
 _PATH_ASSIGNMENT_BUDGET = 1_000_000
+T = TypeVar("T")
 
 
 def brute_force_opt(
@@ -342,25 +356,22 @@ def brute_force_opt(
 
     if spec.routing.splittable:
         priced = _price_matchings(net, demands, matchings, spec.routing)
-        matching = _first_cheapest((m, math.inf if p is None else p) for m, p in priced)
+        matching, _ = _first_cheapest((m, math.inf if p is None else p) for m, p in priced)
         return matching, eval_matching(net, demands, matching, EvalSpec(routing=spec.routing))
-    best: tuple[Matching, CongestionReport] | None = None
-    for matching in matchings:
-        report = _unsplittable_cost(net, demands, matching, spec)
-        if best is None or report.max_load < best[1].max_load - 1e-12:
-            best = (matching, report)
-    assert best is not None  # at least one (maximal) matching always exists
-    return best
+    routings = ((m, *_unsplittable_cost(net, demands, m, spec)) for m in matchings)
+    (matching, flow), _ = _first_cheapest(((m, flow), load) for m, flow, load in routings)
+    return matching, infinite_congestion() if flow is None else congestion_of(net, matching, flow)
 
 
-def _first_cheapest(priced: Iterable[tuple[Matching, float]]) -> Matching:
-    """The first matching no later one undercuts by more than 1e-12."""
-    best: tuple[Matching, float] | None = None
-    for matching, price in priced:
+def _first_cheapest(priced: Iterable[tuple[T, float]]) -> tuple[T, float]:
+    """The first item no later one undercuts by more than 1e-12, with its
+    price."""
+    best: tuple[T, float] | None = None
+    for item, price in priced:
         if best is None or price < best[1] - 1e-12:
-            best = (matching, price)
-    assert best is not None  # at least one (maximal) matching always exists
-    return best[0]
+            best = (item, price)
+    assert best is not None  # every stream priced here has at least one item
+    return best
 
 
 def _price_matchings(
@@ -370,7 +381,7 @@ def _price_matchings(
     routing: RoutingModel,
 ) -> Iterator[tuple[Matching, float | None]]:
     """Each matching with its exact splittable load, or None when some
-    demand has no route; every price re-solves one LP warm.
+    demand has no route; every price re-solves one LP from its last basis.
 
     The LP holds every commodity.  Under ``ss`` it routes over the static
     arcs, a matched commodity's sink row drops its demand, and the price also
@@ -390,9 +401,8 @@ def _price_matchings(
     commodities = demands.commodities()
     sink_rows = problem.sink_rows(commodities)
     demand = lp.row_lower[sink_rows].copy()
-    caps = [net.reconf_capacity(*c) for c in commodities]
-    offload = np.array(
-        [demands.get(*c) / cap if cap > 0 else math.inf for c, cap in zip(commodities, caps)]
+    offload = ArcIds(net.reconf_arc(*c) for c in commodities).loads(
+        np.arange(len(commodities)), np.array([demands.get(*c) for c in commodities])
     )
     block_starts = 1 + np.arange(len(problem.sources)) * len(problem.arcs)
     arc_columns: dict[tuple[NodeId, NodeId], list[int]] = {}  # every source's, per pair
@@ -407,7 +417,7 @@ def _price_matchings(
             offloaded = float(np.max(offload[matched], initial=0.0))
         for pair, columns in arc_columns.items():
             lp.col_upper[columns] = np.inf if pair in matching else 0.0
-        result = solve_simplex(lp, warm=True)
+        result = solve_simplex(lp)
         if result.status is LpStatus.UNBOUNDED:
             raise NumericalFailureError("congestion LP reported unbounded")
         if result.status is LpStatus.INFEASIBLE:
@@ -418,76 +428,50 @@ def _price_matchings(
 
 
 def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]], maximal_only: bool = False):
+    """Every matching over ``pairs`` (only the maximal ones if ``maximal_only``)
+    in one fixed order; a branch is cut once a pair it skipped has both ends
+    free and no later pair touches either."""
     pairs = sorted(pairs)
+    last = {}  # the position of the last pair at each node
+    for k, (i, j) in enumerate(pairs):
+        last[i] = last[j] = k
 
-    def extend(index: int, chosen: list, used: set):
-        if index == len(pairs):
-            if not maximal_only or all(i in used or j in used for i, j in pairs):
-                yield Matching(chosen)
+    def extend(index: int, chosen: list, used: set, skipped: list):
+        while index < len(pairs) and not used.isdisjoint(pairs[index]):
+            index += 1  # a pair at a matched node is covered, never chosen
+        if any(end < index and i not in used and j not in used for end, i, j in skipped):
             return
-        yield from extend(index + 1, chosen, used)
+        if index == len(pairs):
+            yield Matching(chosen)
+            return
         i, j = pairs[index]
-        if i not in used and j not in used:
-            chosen.append((i, j))
-            used.update((i, j))
-            yield from extend(index + 1, chosen, used)
-            chosen.pop()
-            used.difference_update((i, j))
+        skip = [(max(last[i], last[j]), i, j)] if maximal_only else []
+        yield from extend(index + 1, chosen, used, skipped + skip)
+        chosen.append((i, j))
+        used.update((i, j))
+        yield from extend(index + 1, chosen, used, skipped)
+        chosen.pop()
+        used.difference_update((i, j))
 
-    yield from extend(0, [], set())
+    yield from extend(0, [], set(), [])
 
 
 def _unsplittable_cost(
-    net: HybridNetwork,
-    demands: DemandMatrix,
-    matching: Matching,
-    spec: EvalSpec,
-) -> CongestionReport:
-    """Exact unsplittable cost of one matching: every assignment of one
-    simple path per residual commodity is tried."""
+    net: HybridNetwork, demands: DemandMatrix, matching: Matching, spec: EvalSpec
+) -> tuple[Flow | None, float]:
+    """Exact unsplittable routing of one matching and its load: every
+    assignment of one simple path per residual commodity is tried.  None and
+    infinity when some commodity has no path."""
     fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
-    menus: list[tuple[tuple[NodeId, NodeId], list[tuple[DirectedLink, ...]]]] = []
-    budget = _PATH_ASSIGNMENT_BUDGET
-    count = 1
+    menus = []
     for commodity in residual.commodities():
-        options = all_simple_paths(arcs, commodity[0], commodity[1], budget)
+        options = all_simple_paths(arcs, commodity[0], commodity[1], _PATH_ASSIGNMENT_BUDGET)
         if not options:
-            return infinite_congestion()
-        count *= len(options)
-        if count > budget:
-            raise InstanceTooLargeError("path-assignment space exceeds the oracle budget")
-        menus.append((commodity, options))
+            return None, math.inf
+        menus.append((commodity, residual.get(*commodity), options))
+    if math.prod(len(options) for _, _, options in menus) > _PATH_ASSIGNMENT_BUDGET:
+        raise InstanceTooLargeError("path-assignment space exceeds the oracle budget")
 
-    fixed_flow = Flow.from_paths(fixed)
-    base_loads: dict[DirectedLink, float] = {}
-    for arc, value in fixed_flow.aggregate().items():
-        base_loads[arc] = base_loads.get(arc, 0.0) + value
-
-    best_assignment: list[tuple[DirectedLink, ...]] | None = None
-    best_load = math.inf
-    for assignment in itertools.product(*(options for (_c, options) in menus)):
-        loads = dict(base_loads)
-        for (commodity, _options), path in zip(menus, assignment):
-            d = residual.get(*commodity)
-            for arc in path:
-                loads[arc] = loads.get(arc, 0.0) + d
-        worst = 0.0
-        for arc, value in loads.items():
-            if arc.capacity > 0:
-                worst = max(worst, value / arc.capacity)
-            elif value > 1e-9:
-                worst = math.inf
-                break
-        if worst < best_load - 1e-12:
-            best_load = worst
-            best_assignment = list(assignment)
-    if best_assignment is None:
-        paths = list(fixed)
-    else:
-        paths = list(fixed) + [
-            (commodity, path, residual.get(*commodity))
-            for (commodity, _options), path in zip(menus, best_assignment)
-        ]
-    flow = Flow.from_paths(paths)
-    return congestion_of(net, matching, flow)
+    assignments = itertools.product(*(range(len(options)) for _, _, options in menus))
+    return _cheapest_routing(ArcIds.network(net, matching), fixed, menus, assignments)

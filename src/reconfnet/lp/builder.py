@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import NumericalFailureError
 from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
+from ..paths import shortest_path
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .linprog import LinearProgram, LpStatus, solve_simplex
 
@@ -98,11 +99,16 @@ class LpSolution:
         trimmed to carry exactly ``target`` (the LP's demand row is
         one-sided, so slight over-delivery is possible and must not leak into
         the flow).  Each source is decomposed once, on first use."""
+        noise = solver_noise(self.problem.demand_scale)
         paths = [
             (c, arcs, amount * factor)
             for c, arcs, amount in self._paths_by_commodity.get(commodity, ())
         ]
-        return scale_paths_to(paths, target, slack=solver_noise(self.problem.demand_scale))
+        # HiGHS may meet a sink row this far below the demand scale with no
+        # flow at all; such a demand takes one shortest path instead.
+        if not paths and target <= noise and (arcs := shortest_path(self.problem.arcs, *commodity)):
+            paths = [(commodity, arcs, target)]
+        return scale_paths_to(paths, target, slack=noise)
 
 
 def _positive_arcs(arcs: Sequence[DirectedLink]) -> tuple[DirectedLink, ...]:
@@ -272,9 +278,9 @@ def _check_feasible(problem: LpProblem, x: np.ndarray) -> None:
         np.max(-x, initial=0.0),
         np.max(x - lp.col_upper, initial=0.0),
     )
-    bounds = np.concatenate([lp.row_lower, lp.row_upper])
-    magnitude = max(1.0, np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0))
-    if worst > RESIDUAL_TOL * magnitude:
+    # _build divides every demand by the largest, so every finite row bound
+    # lies in [0, 1] and the tolerance needs no scale.
+    if worst > RESIDUAL_TOL:
         raise NumericalFailureError(f"primal residual {worst:.3e} exceeds tolerance")
     degree = np.max(activity[problem.row_blocks["deg"]], initial=0.0)
     if degree > 1.0 + DEGREE_TOL:

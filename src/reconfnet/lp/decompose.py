@@ -6,6 +6,7 @@ import math
 
 from ..errors import NonConservedFlowError
 from ..model import DirectedLink, Flow, FlowPath, NodeId
+from ..paths import adjacency
 
 _EPS = 1e-11
 _CRUMB = 1e-7  # relative: leftovers below this are solver noise, not flow
@@ -39,9 +40,7 @@ def decompose_commodity(
     eps = _EPS * max(1.0, magnitude)
     crumb = max(_CRUMB * max(1.0, magnitude), noise)
     residual = {arc: v for arc, v in links.items() if v > eps}
-    adjacent: dict[NodeId, list[DirectedLink]] = {}
-    for arc in sorted(residual, key=lambda a: (a.head, a.kind.value, a.copy)):
-        adjacent.setdefault(arc.tail, []).append(arc)
+    adjacent = adjacency(residual)
     paths: list[FlowPath] = []
     cycles: list[tuple[tuple[DirectedLink, ...], float]] = []
 

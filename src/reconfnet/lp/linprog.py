@@ -89,21 +89,19 @@ def _binding():
     return _core
 
 
-def solve_simplex(lp: LinearProgram, warm: bool = False) -> SimplexResult:
+def solve_simplex(lp: LinearProgram) -> SimplexResult:
     """Solve ``lp`` with HiGHS's dual simplex.
 
-    With ``warm`` the HiGHS model stays with ``lp``.  A later warm call on the
-    same ``lp`` re-solves that model from its last basis, after pushing only
-    the row and column bounds that changed since; the matrix and cost must
-    not change in between.  Any HiGHS outcome other than optimal, infeasible
-    or unbounded (iteration limit, numerical trouble) raises.
+    The HiGHS model stays with ``lp`` after its first solve.  A later solve of
+    the same ``lp`` re-solves that model from its last basis, after pushing
+    only the row and column bounds that changed since; the matrix and cost
+    must not change in between.  Any HiGHS outcome other than optimal,
+    infeasible or unbounded (iteration limit, numerical trouble) raises.
     """
     core = _binding()
-    held = lp._held if warm else None
+    held = lp._held
     if held is None:
-        held = _load(core, lp)
-        if warm:
-            lp._held = held
+        held = lp._held = _load(core, lp)
     else:
         _push_bounds(held, lp)
     highs = held.highs

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import (
     FlowOnUnselectedLinkError,
     InvalidDemandError,
@@ -53,6 +55,11 @@ class DirectedLink:
     def __repr__(self) -> str:
         tag = self.kind.value
         return f"{tag}{self.copy}({self.tail}->{self.head}, c={self.capacity:g})"
+
+
+def arc_order(arc: DirectedLink) -> tuple:
+    """The one sort key of arcs: tail, head, kind (R before S), copy."""
+    return (arc.tail, arc.head, arc.kind.value, arc.copy)
 
 
 @dataclass(frozen=True)
@@ -435,15 +442,12 @@ class Flow:
 
     def conservation_residual(self, commodity: tuple[NodeId, NodeId]) -> float:
         """Largest |net flow| over interior nodes of the commodity."""
-        i, j = commodity
-        links = self.by_commodity.get(commodity, {})
-        nodes = {a.tail for a in links} | {a.head for a in links}
-        worst = 0.0
-        for node in nodes:
-            if node in (i, j):
-                continue
-            worst = max(worst, abs(self.net_outflow(commodity, node)))
-        return worst
+        flows: dict[NodeId, list[float]] = {}  # out positive, in negative
+        for arc, value in self.by_commodity.get(commodity, {}).items():
+            flows.setdefault(arc.tail, []).append(value)
+            flows.setdefault(arc.head, []).append(-value)
+        interior = (math.fsum(v) for node, v in flows.items() if node not in commodity)
+        return max(map(abs, interior), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -459,10 +463,29 @@ class CongestionReport:
         return math.isfinite(self.max_load)
 
 
-def _load(flow_value: float, capacity: float) -> float:
-    if capacity > 0:
-        return flow_value / capacity
-    return math.inf if flow_value > ABS_TOL else 0.0
+class ArcIds:
+    """Arcs numbered once, with the one load rule: flow over capacity, and on
+    a zero-capacity arc infinity for flow above ``ABS_TOL``, else 0."""
+
+    def __init__(self, arcs: Iterable[DirectedLink]):
+        self.arcs = tuple(arcs)
+        self.id = {arc: k for k, arc in enumerate(self.arcs)}
+        capacity = np.array([arc.capacity for arc in self.arcs])
+        self._dead = np.flatnonzero(capacity <= 0)
+        self._divisor = np.where(capacity > 0, capacity, 1.0)
+
+    @classmethod
+    def network(cls, net: HybridNetwork, matching: Matching) -> "ArcIds":
+        """A reconfigured network's arcs in congestion order: static, then matched."""
+        return cls(net.static_arcs() + matching.arcs(net))
+
+    def loads(self, ids: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+        """Each arc's load when ``amounts[k]`` flows on arc ``ids[k]``, summed in order."""
+        flow = np.bincount(ids, weights=amounts, minlength=len(self.arcs))
+        loads = flow / self._divisor
+        if self._dead.size:
+            loads[self._dead] = np.where(flow[self._dead] > ABS_TOL, math.inf, 0.0)
+        return loads
 
 
 def congestion_of(net: HybridNetwork, matching: Matching, flow: Flow) -> CongestionReport:
@@ -472,11 +495,10 @@ def congestion_of(net: HybridNetwork, matching: Matching, flow: Flow) -> Congest
     yields an infinite load rather than an error so optimizers can still rank
     infeasible routings.
     """
-    allowed = list(net.static_arcs()) + list(matching.arcs(net))
-    allowed_set = set(allowed)
+    numbered = ArcIds.network(net, matching)
     for commodity, links in flow.by_commodity.items():
         for arc in links:
-            if arc not in allowed_set:
+            if arc not in numbered.id:
                 raise FlowOnUnselectedLinkError(
                     f"commodity {commodity} uses {arc!r} outside the reconfigured network"
                 )
@@ -485,17 +507,12 @@ def congestion_of(net: HybridNetwork, matching: Matching, flow: Flow) -> Congest
             raise NonConservedFlowError(
                 f"commodity {commodity} violates conservation by {residual:.3e}"
             )
-    aggregate = flow.aggregate()
-    loads: dict[DirectedLink, float] = {}
-    max_load = 0.0
-    argmax: DirectedLink | None = None
-    for arc in allowed:
-        load = _load(aggregate.get(arc, 0.0), arc.capacity)
-        loads[arc] = load
-        if load > max_load:
-            max_load = load
-            argmax = arc
-    return CongestionReport(max_load=max_load, argmax_link=argmax, per_link_loads=loads)
+    ids = [numbered.id[arc] for links in flow.by_commodity.values() for arc in links]
+    amounts = [value for links in flow.by_commodity.values() for value in links.values()]
+    loads = numbered.loads(np.array(ids, dtype=np.intp), np.array(amounts))
+    max_load = float(loads.max(initial=0.0))
+    argmax = numbered.arcs[int(np.argmax(loads))] if max_load > 0 else None
+    return CongestionReport(max_load, argmax, dict(zip(numbered.arcs, loads.tolist())))
 
 
 def infinite_congestion() -> CongestionReport:

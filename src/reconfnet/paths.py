@@ -11,15 +11,11 @@ import heapq
 from typing import Sequence
 
 from .errors import InstanceTooLargeError
-from .model import DirectedLink, NodeId
+from .model import DirectedLink, NodeId, arc_order
 
 ArcPath = tuple[DirectedLink, ...]
 
 _MAX_HEAP_POPS = 500_000
-
-
-def _sort_token(arc: DirectedLink) -> tuple:
-    return (arc.head, arc.kind.value, arc.copy)
 
 
 def adjacency(arcs: Sequence[DirectedLink]) -> dict[NodeId, list[DirectedLink]]:
@@ -28,7 +24,7 @@ def adjacency(arcs: Sequence[DirectedLink]) -> dict[NodeId, list[DirectedLink]]:
     for arc in arcs:
         adj.setdefault(arc.tail, []).append(arc)
     for out in adj.values():
-        out.sort(key=_sort_token)
+        out.sort(key=arc_order)
     return adj
 
 

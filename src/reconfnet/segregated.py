@@ -157,7 +157,7 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     routable = [(matching, price) for matching, price in priced if price is not None]
     if not routable:
         raise InfeasibleDemandError("no candidate matching can serve the demands")
-    matching = _first_cheapest(routable)
+    matching, _ = _first_cheapest(routable)
     flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
     report = congestion_of(net, matching, flow)
     return RoundedSolution(matching, flow, report.max_load, report.max_load, report)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from reconfnet.errors import (
@@ -226,13 +227,33 @@ def test_brute_force_unsplittable_exhausts_assignments() -> None:
     assert sn_report.max_load == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n, expected", [(4, 3), (5, 15), (6, 15), (8, 105)])
+def _maximal_by_filter(pairs) -> list[Matching]:
+    """Every matching in enumeration order, the non-maximal ones dropped."""
+    return [
+        m
+        for m in _enumerate_matchings(pairs)
+        if all(i in m.nodes or j in m.nodes for i, j in pairs)
+    ]
+
+
+@pytest.mark.parametrize("n, expected", [(4, 3), (5, 15), (6, 15), (7, 105), (8, 105)])
 def test_maximal_enumeration_of_complete_graph(n, expected) -> None:
     # maximal matchings of K_n: perfect for even n, near-perfect for odd n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     maximal = list(_enumerate_matchings(pairs, maximal_only=True))
     assert len(maximal) == expected
     assert all(len(m) == n // 2 for m in maximal)
+    assert maximal == _maximal_by_filter(pairs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_maximal_enumeration_of_random_pair_sets(seed) -> None:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    density = rng.uniform(0.1, 0.9)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    maximal = list(_enumerate_matchings(pairs, maximal_only=True))
+    assert maximal == _maximal_by_filter(pairs)
 
 
 @pytest.mark.parametrize("seed", range(8))

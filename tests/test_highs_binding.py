@@ -3,7 +3,8 @@
 ``reconfnet.lp.linprog`` calls ``scipy.optimize._highspy._core`` directly.
 The binding is not public API, so the names the adapter uses are pinned
 here, a missing binding must surface as a ``ReconfNetError`` naming the
-installed scipy, and a warm re-solve must agree with a cold solve.
+installed scipy, and a re-solve of a held model must agree with a solve of
+a freshly built program.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
-from reconfnet.lp import LpStatus, build_mcrn_lp, solve_simplex
+from reconfnet.lp import LinearProgram, LpStatus, build_mcrn_lp, solve_simplex
 
 from .conftest import random_instance
 
@@ -78,20 +79,31 @@ def test_missing_binding_is_a_toolkit_error_naming_scipy() -> None:
     assert f"scipy {scipy.__version__}" in last
 
 
+def _fresh(lp: LinearProgram) -> LinearProgram:
+    """The same program with no HiGHS model held yet."""
+    return LinearProgram(
+        matrix=lp.matrix,
+        row_lower=lp.row_lower.copy(),
+        row_upper=lp.row_upper.copy(),
+        col_upper=lp.col_upper.copy(),
+        cost=lp.cost,
+    )
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_warm_resolve_matches_a_cold_solve(seed) -> None:
     net, demands = random_instance(seed, n_max=8)
     lp = build_mcrn_lp(net, demands).lp
-    first = solve_simplex(lp, warm=True)
+    first = solve_simplex(lp)
     assert first.status is LpStatus.OPTIMAL
     columns, rows = lp.col_upper.copy(), lp.row_lower.copy()
     for column in range(lp.num_vars - 1, lp.num_vars - 4, -1):
         lp.col_upper[:] = columns
         lp.col_upper[column] = 0.0
         lp.row_lower[column % len(rows)] = 0.0
-        warm, cold = solve_simplex(lp, warm=True), solve_simplex(lp)
+        warm, cold = solve_simplex(lp), solve_simplex(_fresh(lp))
         assert warm.status is cold.status
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
         assert np.all(warm.x <= lp.col_upper + 1e-9)
     lp.col_upper[:], lp.row_lower[:] = columns, rows
-    assert solve_simplex(lp, warm=True).objective == pytest.approx(first.objective, rel=1e-9)
+    assert solve_simplex(lp).objective == pytest.approx(first.objective, rel=1e-9)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt
-from reconfnet.lp import build_mcmf_lp, solve_lp
+from reconfnet.lp import build_mcmf_lp, build_mcrn_lp, solve_lp
 from reconfnet.model import DemandMatrix, HybridNetwork, pair_key
 from reconfnet.segregated import solve_single_source_ss, solve_ss, solve_us
 from reconfnet.workloads import load_trace, write_demands
@@ -73,6 +74,16 @@ def test_ss_and_us_flows_serve_every_demand_and_conserve_flow(instance) -> None:
     stage1 = solve_ss(net, demands)
     _assert_serves_demands_exactly(stage1.flow, demands)
     _assert_serves_demands_exactly(solve_us(net, demands, trials=2, stage1=stage1).flow, demands)
+
+
+@given(instance=instances())
+def test_every_finite_row_bound_lies_in_the_unit_interval(instance) -> None:
+    # the residual check's tolerance is absolute because of this
+    net, demands = instance
+    for problem in (build_mcrn_lp(net, demands), build_mcmf_lp(net, demands)):
+        bounds = np.concatenate([problem.lp.row_lower, problem.lp.row_upper])
+        finite = bounds[np.isfinite(bounds)]
+        assert np.all((finite >= 0.0) & (finite <= 1.0))
 
 
 @given(instance=instances())

@@ -301,3 +301,20 @@ def test_single_source_agrees_with_ss_evaluation_of_its_matching(seed) -> None:
     result = solve_single_source_ss(net, demands)
     spec = EvalSpec(routing=RoutingModel.SS)
     assert eval_matching(net, demands, result.matching, spec).max_load == result.max_load
+
+
+def test_demand_within_solver_noise_is_still_served() -> None:
+    # normalised, the sink row of (1, 3) asks for 1e-7, which HiGHS meets
+    # within its tolerance without any flow from node 1 to node 3
+    net = HybridNetwork.build(
+        4, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (0, 3, 1, 1)], reconf_default=0.0
+    )
+    demands = DemandMatrix({(0, 2): 1e7, (1, 3): 1.0})
+    stage1 = solve_ss(net, demands)
+    for result in (stage1, solve_us(net, demands, stage1=stage1)):
+        for commodity, d in demands.entries.items():
+            delivered = math.fsum(a for c, _, a in result.flow.paths if c == commodity)
+            assert delivered == d
+            assert result.flow.net_outflow(commodity, commodity[0]) == d
+            assert result.flow.conservation_residual(commodity) == 0.0
+    assert stage1.max_load <= 2.0 * stage1.lp_bound
