@@ -245,21 +245,16 @@ def route_matching(
         return Flow.from_paths(fixed)
 
     if not spec.routing.splittable and spec.path_limit == 1:
-        sampled: list[FlowPath] = list(fixed)
-        for commodity in residual.commodities():
-            menu = k_shortest_paths(arcs, commodity[0], commodity[1], 1)
-            if not menu:
-                return None
-            sampled.append((commodity, menu[0], residual.get(*commodity)))
-        return Flow.from_paths(sampled)
+        shortest = k_shortest_paths(arcs, residual.commodities(), 1)
+        if not all(shortest.values()):
+            return None
+        chosen = [(c, shortest[c][0], residual.get(*c)) for c in residual.commodities()]
+        return Flow.from_paths(fixed + chosen)
 
     if spec.path_limit is None:
         menus = _route_splittable_exact(arcs, residual)
     else:
-        shortest = {
-            commodity: k_shortest_paths(arcs, commodity[0], commodity[1], spec.path_limit)
-            for commodity in residual.commodities()
-        }
+        shortest = k_shortest_paths(arcs, residual.commodities(), spec.path_limit)
         menus = _restricted_path_lp(shortest, residual)
     if menus is None:
         return None

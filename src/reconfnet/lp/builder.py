@@ -34,12 +34,14 @@ import numpy as np
 
 from ..errors import NumericalFailureError
 from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
-from ..paths import shortest_path
+from ..paths import k_shortest_paths
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .linprog import LinearProgram, LpStatus, solve_simplex
 
 RESIDUAL_TOL = 1e-7
 DEGREE_TOL = 1e-9
+
+Commodity = tuple[NodeId, NodeId]
 
 
 @dataclass
@@ -83,31 +85,42 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
     @cached_property
-    def _paths_by_commodity(self) -> dict[tuple[NodeId, NodeId], list[FlowPath]]:
+    def _decomposed(
+        self,
+    ) -> tuple[dict[Commodity, list[FlowPath]], dict[Commodity, list[FlowPath]]]:
+        """Each commodity's paths and crumbs; each source is decomposed once."""
         noise = solver_noise(self.problem.demand_scale)
-        grouped: dict[tuple[NodeId, NodeId], list[FlowPath]] = {}
+        grouped: dict[Commodity, list[FlowPath]] = {}
+        crumbs: dict[Commodity, list[FlowPath]] = {}
         for source, links in self.flows.items():
-            paths, _cycles = decompose_commodity(source, links, noise=noise)
+            paths, _cycles, dropped = decompose_commodity(source, links, noise=noise)
             for path in paths:
                 grouped.setdefault(path[0], []).append(path)
-        return grouped
+            for path in dropped:
+                crumbs.setdefault(path[0], []).append(path)
+        return grouped, crumbs
 
-    def paths(
-        self, commodity: tuple[NodeId, NodeId], target: float, factor: float = 1.0
-    ) -> list[FlowPath]:
+    def paths(self, commodity: Commodity, target: float, factor: float = 1.0) -> list[FlowPath]:
         """The commodity's paths in its source's flow, times ``factor`` and
         trimmed to carry exactly ``target`` (the LP's demand row is
         one-sided, so slight over-delivery is possible and must not leak into
-        the flow).  Each source is decomposed once, on first use."""
+        the flow).
+
+        One rule covers the solver's slack: the paths may fall short of
+        ``target`` by the solver noise, and the shortfall is repaid on the
+        first path.  A commodity whose flow came apart in crumbs below the
+        noise takes its crumbs back, since they are its flow too.  HiGHS may
+        meet a sink row within its tolerance with no flow at all; such a
+        commodity repays its whole demand on its shortest path.
+        """
+        grouped, crumbs = self._decomposed
         noise = solver_noise(self.problem.demand_scale)
-        paths = [
-            (c, arcs, amount * factor)
-            for c, arcs, amount in self._paths_by_commodity.get(commodity, ())
-        ]
-        # HiGHS may meet a sink row this far below the demand scale with no
-        # flow at all; such a demand takes one shortest path instead.
-        if not paths and target <= noise and (arcs := shortest_path(self.problem.arcs, *commodity)):
-            paths = [(commodity, arcs, target)]
+        paths = [(c, arcs, amount * factor) for c, arcs, amount in grouped.get(commodity, ())]
+        if math.fsum(amount for _, _, amount in paths) < target - noise:
+            paths += [(c, arcs, amount * factor) for c, arcs, amount in crumbs.get(commodity, ())]
+        if not paths:
+            shortest = k_shortest_paths(self.problem.arcs, [commodity], 1)[commodity]
+            paths = [(commodity, arcs, 0.0) for arcs in shortest]
         return scale_paths_to(paths, target, slack=noise)
 
 

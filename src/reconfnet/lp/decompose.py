@@ -21,8 +21,8 @@ def decompose_commodity(
     source: NodeId,
     links: dict[DirectedLink, float],
     noise: float = 0.0,
-) -> tuple[list[FlowPath], list[tuple[tuple[DirectedLink, ...], float]]]:
-    """Split one source's link flows into paths and cycles.
+) -> tuple[list[FlowPath], list[tuple[tuple[DirectedLink, ...], float]], list[FlowPath]]:
+    """Split one source's link flows into paths, cycles and crumbs.
 
     Cycles are cancelled first (the LP bounds only the net inflow of each
     node, so circulations may pass through any node); the remainder is a
@@ -31,10 +31,12 @@ def decompose_commodity(
     positive arc and stops at the first node v with positive excess; peeling
     the smaller of its bottleneck and that excess yields the path
     ``((source, v), arcs, amount)`` and zeroes an arc or an excess.  A
-    conserved commodity flow therefore yields paths to its sink only.  Tiny
-    leftovers up to ``noise`` (the LP solver's absolute feasibility slack,
-    which rides on the whole problem's demand scale) are dropped as numerical
-    crumbs; a substantial imbalance still raises.
+    conserved commodity flow therefore yields paths to its sink only.  A
+    path of at most ``noise`` (the LP solver's absolute feasibility slack,
+    which rides on the whole problem's demand scale), or of at most 1e-7 of
+    the largest arc flow, is a numerical crumb and is returned apart from
+    the paths.  A tiny leftover that reaches no sink is dropped; a
+    substantial imbalance still raises.
     """
     magnitude = max(links.values(), default=0.0)
     eps = _EPS * max(1.0, magnitude)
@@ -43,6 +45,7 @@ def decompose_commodity(
     adjacent = adjacency(residual)
     paths: list[FlowPath] = []
     cycles: list[tuple[tuple[DirectedLink, ...], float]] = []
+    crumbs: list[FlowPath] = []
 
     def out_arcs(node: NodeId) -> list[DirectedLink]:
         return [a for a in adjacent.get(node, ()) if a in residual]
@@ -70,15 +73,14 @@ def decompose_commodity(
         amount = min(excess[node], min(residual[a] for a in walk))
         _subtract(residual, walk, amount, eps)
         excess[node] -= amount
-        if amount > crumb:
-            paths.append(((source, node), tuple(walk), amount))
+        (paths if amount > crumb else crumbs).append(((source, node), tuple(walk), amount))
 
     for arc, value in sorted(residual.items(), key=lambda kv: kv[1]):
         if value > crumb:
             raise NonConservedFlowError(
                 f"flow from source {source} leaves residual {value:.3e} on {arc!r}"
             )
-    return paths, cycles
+    return paths, cycles, crumbs
 
 
 def _find_cycle(residual, out_arcs):
@@ -130,7 +132,7 @@ def decompose_paths(flow: Flow) -> Flow:
     """
     all_paths: list[FlowPath] = []
     for commodity in sorted(flow.by_commodity):
-        paths, _cycles = decompose_commodity(commodity[0], flow.by_commodity[commodity])
+        paths, _cycles, _crumbs = decompose_commodity(commodity[0], flow.by_commodity[commodity])
         if any(c != commodity for c, _, _ in paths):
             raise NonConservedFlowError(f"flow for commodity {commodity} ends short of its sink")
         all_paths.extend(paths)

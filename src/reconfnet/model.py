@@ -427,13 +427,6 @@ class Flow:
                 links[arc] = links.get(arc, 0.0) + amount
         return cls(by_commodity, paths=paths)
 
-    def aggregate(self) -> dict[DirectedLink, float]:
-        total: dict[DirectedLink, float] = {}
-        for links in self.by_commodity.values():
-            for arc, value in links.items():
-                total[arc] = total.get(arc, 0.0) + value
-        return total
-
     def net_outflow(self, commodity: tuple[NodeId, NodeId], node: NodeId) -> float:
         links = self.by_commodity.get(commodity, {})
         out = math.fsum(v for a, v in links.items() if a.tail == node)

@@ -8,7 +8,8 @@ k-shortest-path routing reproducible across runs.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from collections import deque
+from typing import Iterable, Sequence
 
 from .errors import InstanceTooLargeError
 from .model import DirectedLink, NodeId, arc_order
@@ -29,18 +30,70 @@ def adjacency(arcs: Sequence[DirectedLink]) -> dict[NodeId, list[DirectedLink]]:
 
 
 def k_shortest_paths(
-    arcs: Sequence[DirectedLink], src: NodeId, dst: NodeId, k: int
-) -> list[ArcPath]:
-    """Up to ``k`` loopless paths from src to dst, shortest (by hops) first.
+    arcs: Sequence[DirectedLink], commodities: Iterable[tuple[NodeId, NodeId]], k: int
+) -> dict[tuple[NodeId, NodeId], list[ArcPath]]:
+    """Up to ``k`` loopless paths for each commodity (s, t), shortest (by
+    hops) first, over one adjacency built for all of them.
 
-    Exhaustive best-first search: candidate paths are popped in
-    (hops, node sequence, copy sequence) order, so the first k arrivals at
-    ``dst`` are exactly the k shortest with deterministic tie-breaking.
-    Adequate for desk-scale graphs; guarded against pathological blowup.
+    Paths come in (hops, node sequence, copy sequence) order, so they are
+    the k shortest with deterministic tie-breaking.  For k = 1 this is one
+    FIFO breadth-first tree per source over the sorted adjacency: a node of
+    layer h is first reached from the layer-(h-1) node whose tree path is
+    least, along the least of the parallel arcs, so its tree path is the
+    least path; a tree stops growing once it reaches the source's last
+    target.  For k > 1 each commodity runs a best-first search, guarded
+    against pathological blowup.
     """
-    if k < 1 or src == dst:
-        return []
     adj = adjacency(arcs)
+    commodities = list(commodities)
+    trees = {}
+    if k == 1:
+        targets: dict[NodeId, set[NodeId]] = {}
+        for src, dst in commodities:
+            targets.setdefault(src, set()).add(dst)
+        trees = {src: _bfs_tree(adj, src, dsts) for src, dsts in targets.items()}
+    found: dict[tuple[NodeId, NodeId], list[ArcPath]] = {}
+    for src, dst in commodities:
+        if k < 1 or src == dst:
+            found[(src, dst)] = []
+        elif k == 1:
+            tree = trees[src]
+            found[(src, dst)] = [_tree_path(tree, dst)] if dst in tree else []
+        else:
+            found[(src, dst)] = _best_first(adj, src, dst, k)
+    return found
+
+
+def _bfs_tree(
+    adj: dict[NodeId, list[DirectedLink]], src: NodeId, targets: set[NodeId]
+) -> dict[NodeId, DirectedLink | None]:
+    """The arc by which a FIFO search from ``src`` first reaches each node,
+    up to the moment it has reached every one of ``targets``."""
+    parent: dict[NodeId, DirectedLink | None] = {src: None}
+    missing = targets - {src}
+    queue = deque([src])
+    while queue and missing:
+        for arc in adj.get(queue.popleft(), ()):
+            if arc.head not in parent:
+                parent[arc.head] = arc
+                missing.discard(arc.head)
+                queue.append(arc.head)
+    return parent
+
+
+def _tree_path(parent: dict[NodeId, DirectedLink | None], dst: NodeId) -> ArcPath:
+    path = []
+    while (arc := parent[dst]) is not None:
+        path.append(arc)
+        dst = arc.tail
+    return tuple(reversed(path))
+
+
+def _best_first(
+    adj: dict[NodeId, list[DirectedLink]], src: NodeId, dst: NodeId, k: int
+) -> list[ArcPath]:
+    """Candidate paths popped in (hops, node sequence, copy sequence) order:
+    the first k arrivals at ``dst`` are the k shortest."""
     found: list[ArcPath] = []
     heap: list[tuple[int, tuple, tuple, NodeId, ArcPath]] = [(0, (src,), (), src, ())]
     pops = 0
@@ -67,14 +120,6 @@ def k_shortest_paths(
                 ),
             )
     return found
-
-
-def shortest_path(
-    arcs: Sequence[DirectedLink], src: NodeId, dst: NodeId
-) -> ArcPath | None:
-    """The unique (hops, lexicographic) minimal path, or None."""
-    best = k_shortest_paths(arcs, src, dst, 1)
-    return best[0] if best else None
 
 
 def all_simple_paths(

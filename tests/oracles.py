@@ -4,12 +4,13 @@ Deliberately built on different foundations than the package under test:
 congestion optima come from a path-enumeration LP solved by scipy's HiGHS
 (a different formulation from the package's edge-based LP), unsplittable
 optima from trying every path assignment, exact rational LP values from
-vertex enumeration over Fractions, and matchings from exhaustive
-enumeration.
+vertex enumeration over Fractions, matchings from exhaustive enumeration,
+and k shortest paths from one best-first search per pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -19,7 +20,14 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from reconfnet.evaluation import EvalSpec, _enumerate_matchings, eval_matching
-from reconfnet.model import DemandMatrix, DirectedLink, HybridNetwork, Matching, pair_key
+from reconfnet.model import (
+    DemandMatrix,
+    DirectedLink,
+    HybridNetwork,
+    Matching,
+    arc_order,
+    pair_key,
+)
 from reconfnet.paths import all_simple_paths
 
 
@@ -97,6 +105,44 @@ def exhaustive_unsplittable_congestion(arcs, demands: DemandMatrix, path_cap: in
                 loads[k] = loads.get(k, 0.0) + amount
         best = min(best, max((load / capacities[k] for k, load in loads.items()), default=0.0))
     return best
+
+
+def best_first_k_shortest_paths(arcs, src, dst, k: int) -> list[tuple[DirectedLink, ...]]:
+    """Up to ``k`` loopless paths from src to dst, shortest (by hops) first.
+
+    One exhaustive best-first search for the one pair, over its own sorted
+    adjacency: candidate paths are popped in (hops, node sequence, copy
+    sequence) order, so the first k arrivals at ``dst`` are the k shortest.
+    """
+    if k < 1 or src == dst:
+        return []
+    adj: dict[int, list[DirectedLink]] = {}
+    for arc in arcs:
+        adj.setdefault(arc.tail, []).append(arc)
+    for out in adj.values():
+        out.sort(key=arc_order)
+    found = []
+    heap = [(0, (src,), (), src, ())]
+    while heap and len(found) < k:
+        hops, nodes, copies, node, path = heapq.heappop(heap)
+        if node == dst:
+            found.append(path)
+            continue
+        visited = set(nodes)
+        for arc in adj.get(node, ()):
+            if arc.head in visited:
+                continue
+            heapq.heappush(
+                heap,
+                (
+                    hops + 1,
+                    nodes + (arc.head,),
+                    copies + (arc.kind.value, arc.copy),
+                    arc.head,
+                    path + (arc,),
+                ),
+            )
+    return found
 
 
 def segregated_matching_cost(net: HybridNetwork, demands: DemandMatrix, matching: Matching) -> float:

@@ -19,6 +19,7 @@ from reconfnet.evaluation import (
     _enumerate_matchings,
     brute_force_opt,
     eval_matching,
+    route_matching,
     solve_single_commodity_uniform,
 )
 from reconfnet.maxflow import max_flow_with_matching
@@ -116,6 +117,27 @@ def test_un_path_limit_one_uses_shortcut_shortest_path() -> None:
     )
     assert report.max_load == pytest.approx(0.5, abs=1e-9)
     assert report.argmax_link == net.reconf_arc(0, 2)
+
+
+def test_one_path_routing_builds_one_adjacency(monkeypatch) -> None:
+    from reconfnet import paths
+    from reconfnet.baselines import greedy_matching
+    from reconfnet.workloads import gen_k_regular, gen_pfabric_demands
+
+    net = gen_k_regular(40, 4, seed=1)
+    demands = gen_pfabric_demands(40, 40.0, 1.0, seed=2)
+    assert len(demands.commodities()) >= 20
+    adjacency = paths.adjacency
+    built = []
+
+    def counted(arcs):
+        built.append(len(arcs))
+        return adjacency(arcs)
+
+    monkeypatch.setattr(paths, "adjacency", counted)
+    spec = EvalSpec(routing=RoutingModel.UN, path_limit=1)
+    assert route_matching(net, demands, greedy_matching(net, demands), spec) is not None
+    assert len(built) == 1
 
 
 def test_us_eval_offloads_and_routes_rest_single_path() -> None:

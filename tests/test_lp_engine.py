@@ -191,8 +191,8 @@ def test_decompose_removes_cycle_without_raising_loads(path_net) -> None:
     a01, a10, a12, a21 = path_net.static_arcs()
     flow = Flow({(0, 2): {a01: 1.3, a10: 0.3, a12: 1.0}})
     decomposed = decompose_paths(flow)
-    recomposed = decomposed.aggregate()
-    original = flow.aggregate()
+    recomposed = decomposed.by_commodity[(0, 2)]
+    original = flow.by_commodity[(0, 2)]
     for arc, value in recomposed.items():
         assert value <= original.get(arc, 0.0) + 1e-9
     assert decomposed.net_outflow((0, 2), 0) == pytest.approx(1.0)
@@ -216,9 +216,9 @@ def test_recomposition_identity_on_lp_flows(seed) -> None:
     if not solution.optimal:
         return
     for source, links in solution.flows.items():
-        paths, cycles = decompose_commodity(source, links)
+        paths, cycles, crumbs = decompose_commodity(source, links)
         recomposed: dict = {}
-        for _, arcs, amount in paths:
+        for _, arcs, amount in paths + crumbs:
             for arc in arcs:
                 recomposed[arc] = recomposed.get(arc, 0.0) + amount
         for cycle_arcs, amount in cycles:

@@ -303,6 +303,29 @@ def test_single_source_agrees_with_ss_evaluation_of_its_matching(seed) -> None:
     assert eval_matching(net, demands, result.matching, spec).max_load == result.max_load
 
 
+def test_demand_a_few_times_the_solver_noise_is_served() -> None:
+    # the LP routes (1, 5) only in pieces below the solver noise (1e-6 x
+    # 7206.79), so every one is dropped as a crumb, yet its demand exceeds
+    # that noise: the solvers once raised NonConservedFlowError here
+    net = HybridNetwork.build(
+        10,
+        [(0, 2, 1, 1), (0, 6, 1, 1), (0, 9, 1, 1), (1, 2, 1, 1), (1, 7, 1, 1), (1, 9, 1, 1),
+         (2, 7, 1, 1), (3, 4, 10, 1), (3, 5, 1, 1), (3, 6, 1, 1000), (4, 5, 1, 1),
+         (4, 8, 10, 1), (5, 8, 1, 1), (6, 9, 1, 1), (7, 8, 1, 1)],
+        reconf_default=5.0,
+    )
+    demands = DemandMatrix(
+        {(1, 2): 7206.79, (1, 5): 0.00755586, (6, 8): 1536.48, (9, 2): 0.00747911}
+    )
+    stage1 = solve_ss(net, demands)
+    for result in (stage1, solve_us(net, demands, stage1=stage1)):
+        for commodity, d in demands.entries.items():
+            delivered = math.fsum(a for c, _, a in result.flow.paths if c == commodity)
+            assert delivered == pytest.approx(d, rel=1e-12)
+            assert result.flow.conservation_residual(commodity) <= 1e-12 * d
+    assert stage1.max_load <= 2.0 * stage1.lp_bound
+
+
 def test_demand_within_solver_noise_is_still_served() -> None:
     # normalised, the sink row of (1, 3) asks for 1e-7, which HiGHS meets
     # within its tolerance without any flow from node 1 to node 3
