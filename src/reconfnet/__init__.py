@@ -17,7 +17,6 @@ from .lp import (
     LpStatus,
     build_mcmf_lp,
     build_mcrn_lp,
-    decompose_paths,
     solve_lp,
 )
 from .model import (
@@ -73,7 +72,6 @@ __all__ = [
     "build_mcrn_lp",
     "classify_demands",
     "congestion_of",
-    "decompose_paths",
     "eval_matching",
     "gen_k_regular",
     "gen_pfabric_demands",

@@ -19,7 +19,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .lp import build_mcmf_lp, scale_paths_to, solve_lp, solver_noise
-from .lp.builder import _check_feasible
 from .lp.linprog import LinearProgram, LpStatus, solve_simplex
 from .maxflow import max_flow_with_matching
 from .model import (
@@ -210,7 +209,7 @@ def _cheapest_routing(
 
     assignment, load = _first_cheapest(priced())
     chosen = [(commodity, menu[k], d) for (commodity, d, menu), k in zip(menus, assignment)]
-    return Flow.from_paths(list(fixed) + chosen), load
+    return Flow(list(fixed) + chosen), load
 
 
 def eval_matching(
@@ -242,14 +241,14 @@ def route_matching(
     fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
     if residual.is_empty:
-        return Flow.from_paths(fixed)
+        return Flow(fixed)
 
     if not spec.routing.splittable and spec.path_limit == 1:
         shortest = k_shortest_paths(arcs, residual.commodities(), 1)
         if not all(shortest.values()):
             return None
         chosen = [(c, shortest[c][0], residual.get(*c)) for c in residual.commodities()]
-        return Flow.from_paths(fixed + chosen)
+        return Flow(fixed + chosen)
 
     if spec.path_limit is None:
         menus = _route_splittable_exact(arcs, residual)
@@ -259,7 +258,7 @@ def route_matching(
     if menus is None:
         return None
     if spec.routing.splittable:
-        return Flow.from_paths(fixed + [p for commodity in sorted(menus) for p in menus[commodity]])
+        return Flow(fixed + [p for commodity in sorted(menus) for p in menus[commodity]])
 
     # unsplittable: each commodity takes one path of its optimal split
     split = {c: [p for p in paths if p[2] > 0] for c, paths in sorted(menus.items())}
@@ -287,7 +286,7 @@ def solve_single_commodity_uniform(
     optimum provably equals the optimum over matchings.
     """
     if demands.is_empty:
-        return Matching(), congestion_of(net, Matching(), Flow.empty())
+        return Matching(), congestion_of(net, Matching(), Flow())
     if not demands.is_single_commodity:
         raise NotSingleCommodityError("expected exactly one commodity")
     capacity = _uniform_capacity(net)
@@ -418,7 +417,6 @@ def _price_matchings(
         if result.status is LpStatus.INFEASIBLE:
             yield matching, None
             continue
-        _check_feasible(problem, result.x)
         yield matching, max(offloaded, result.objective * problem.demand_scale)
 
 

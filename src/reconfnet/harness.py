@@ -146,7 +146,9 @@ def _run_instance(plan: ExperimentPlan, config: WorkloadConfig) -> list[RunRecor
     spec = replace(plan.eval, seed=config.seed)
     records: list[RunRecord] = []
 
+    start = time.perf_counter()
     oblivious_load = oblivious(net, demands, spec).max_load
+    oblivious_ms = (time.perf_counter() - start) * 1000.0
 
     ss_solution = None
     lp_bound = None
@@ -208,6 +210,8 @@ def _run_instance(plan: ExperimentPlan, config: WorkloadConfig) -> list[RunRecor
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - start) * 1000.0
+        if algorithm == "oblivious":
+            wall_ms += oblivious_ms  # routed first, since every record normalizes by it
         if algorithm in ("mc_ss", "mc_us", "lp") and not error:
             wall_ms += ss_time_ms  # the shared relaxation is part of their cost
         records.append(

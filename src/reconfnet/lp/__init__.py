@@ -7,7 +7,7 @@ from .builder import (
     build_mcrn_lp,
     solve_lp,
 )
-from .decompose import decompose_commodity, decompose_paths, scale_paths_to, solver_noise
+from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .dump import write_lp
 from .linprog import LinearProgram, LpStatus, SimplexResult, solve_simplex
 
@@ -20,7 +20,6 @@ __all__ = [
     "build_mcmf_lp",
     "build_mcrn_lp",
     "decompose_commodity",
-    "decompose_paths",
     "scale_paths_to",
     "solver_noise",
     "solve_lp",

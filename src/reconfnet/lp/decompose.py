@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from ..errors import NonConservedFlowError
-from ..model import DirectedLink, Flow, FlowPath, NodeId
+from ..model import DirectedLink, FlowPath, NodeId
 from ..paths import adjacency
 
 _EPS = 1e-11
@@ -122,21 +122,6 @@ def _subtract(residual, arcs, amount: float, eps: float) -> None:
             del residual[arc]
         else:
             residual[arc] = left
-
-
-def decompose_paths(flow: Flow) -> Flow:
-    """Path decomposition of a conserved flow; cycles are dropped.
-
-    The returned flow recomposes exactly from its paths, so dropping cycles
-    never increases any link load.
-    """
-    all_paths: list[FlowPath] = []
-    for commodity in sorted(flow.by_commodity):
-        paths, _cycles, _crumbs = decompose_commodity(commodity[0], flow.by_commodity[commodity])
-        if any(c != commodity for c, _, _ in paths):
-            raise NonConservedFlowError(f"flow for commodity {commodity} ends short of its sink")
-        all_paths.extend(paths)
-    return Flow.from_paths(all_paths)
 
 
 def scale_paths_to(paths: list[FlowPath], target: float, slack: float = 0.0) -> list[FlowPath]:

@@ -3,9 +3,9 @@
 A ``LinearProgram`` is matrix-first: a sparse constraint matrix with row
 lower and upper bounds, column upper bounds (every column is nonnegative)
 and a cost vector.  ``solve_simplex`` hands it to HiGHS as it is (HiGHS takes
-ranged rows) and reports the status, objective and primal vector; callers
-check the result (residuals, degree bound) themselves rather than trusting
-the solver.
+ranged rows) and reports the status, objective and primal vector.  It checks
+every optimal vector against the program's own bounds rather than trusting
+the solver; constraints beyond those (the degree bound) are the caller's.
 
 This module is the one place that imports scipy's private HiGHS binding,
 ``scipy.optimize._highspy._core``; scipy's own ``linprog`` costs more per
@@ -21,6 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..errors import NumericalFailureError, SolverUnavailableError
+
+RESIDUAL_TOL = 1e-7
 
 
 class LpStatus(Enum):
@@ -95,8 +97,9 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     The HiGHS model stays with ``lp`` after its first solve.  A later solve of
     the same ``lp`` re-solves that model from its last basis, after pushing
     only the row and column bounds that changed since; the matrix and cost
-    must not change in between.  Any HiGHS outcome other than optimal,
-    infeasible or unbounded (iteration limit, numerical trouble) raises.
+    must not change in between.  An optimal vector with a primal residual
+    above ``RESIDUAL_TOL`` raises, and so does any HiGHS outcome other than
+    optimal, infeasible or unbounded (iteration limit, numerical trouble).
     """
     core = _binding()
     held = lp._held
@@ -111,6 +114,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     iterations = info.simplex_iteration_count
     if model_status == core.HighsModelStatus.kOptimal:
         x = np.array(highs.getSolution().col_value)
+        _check_residual(lp, x)
         return SimplexResult(LpStatus.OPTIMAL, info.objective_function_value, x, iterations)
     if model_status == core.HighsModelStatus.kInfeasible:
         return SimplexResult(LpStatus.INFEASIBLE, float("nan"), np.zeros(lp.num_vars), iterations)
@@ -118,6 +122,23 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         return SimplexResult(LpStatus.UNBOUNDED, float("-inf"), np.zeros(lp.num_vars), iterations)
     status = highs.modelStatusToString(model_status)
     raise NumericalFailureError(f"HiGHS stopped with status {status}")
+
+
+def _check_residual(lp: LinearProgram, x: np.ndarray) -> None:
+    """One mat-vec: every row activity and every column within its bounds.
+
+    Every program the toolkit builds divides its demands by the largest, so
+    every finite row bound lies in [0, 1] and the tolerance needs no scale.
+    """
+    activity = lp.matrix @ x
+    worst = max(
+        np.max(lp.row_lower - activity, initial=0.0),
+        np.max(activity - lp.row_upper, initial=0.0),
+        np.max(-x, initial=0.0),
+        np.max(x - lp.col_upper, initial=0.0),
+    )
+    if worst > RESIDUAL_TOL:
+        raise NumericalFailureError(f"primal residual {worst:.3e} exceeds tolerance")
 
 
 def _load(core, lp: LinearProgram) -> _Held:

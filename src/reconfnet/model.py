@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -28,7 +29,6 @@ NodeId = int
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
-CONSERVATION_TOL = 1e-9
 
 
 class LinkKind(Enum):
@@ -396,36 +396,27 @@ FlowPath = tuple[tuple[NodeId, NodeId], tuple[DirectedLink, ...], float]
 
 
 class Flow:
-    """Per-commodity flow values on directed links, with optional paths.
+    """A routing as its paths: (commodity, arc sequence, amount) entries.
 
-    ``paths`` entries are (commodity, arc sequence, amount); when present they
-    recompose to the per-link values.
+    The per-commodity values on each directed link are a view summed from
+    the paths; a flow built from walks conserves every commodity exactly.
     """
 
-    def __init__(
-        self,
-        by_commodity: Mapping[tuple[NodeId, NodeId], Mapping[DirectedLink, float]],
-        paths: Iterable[FlowPath] | None = None,
-    ):
-        self.by_commodity = {
-            k: {a: float(v) for a, v in links.items() if v != 0.0}
-            for k, links in by_commodity.items()
-        }
-        self.paths = tuple(paths) if paths is not None else None
+    def __init__(self, paths: Iterable[FlowPath] = ()):
+        self.paths = tuple(paths)
 
-    @classmethod
-    def empty(cls) -> "Flow":
-        return cls({}, paths=())
-
-    @classmethod
-    def from_paths(cls, paths: Iterable[FlowPath]) -> "Flow":
-        paths = tuple(paths)
-        by_commodity: dict[tuple[NodeId, NodeId], dict[DirectedLink, float]] = {}
-        for commodity, arcs, amount in paths:
-            links = by_commodity.setdefault(commodity, {})
+    @cached_property
+    def by_commodity(self) -> dict[tuple[NodeId, NodeId], dict[DirectedLink, float]]:
+        """Each commodity's flow per link, summed over its paths in order;
+        zero entries are dropped."""
+        sums: dict[tuple[NodeId, NodeId], dict[DirectedLink, float]] = {}
+        for commodity, arcs, amount in self.paths:
+            links = sums.setdefault(commodity, {})
             for arc in arcs:
                 links[arc] = links.get(arc, 0.0) + amount
-        return cls(by_commodity, paths=paths)
+        return {
+            k: {a: float(v) for a, v in links.items() if v != 0.0} for k, links in sums.items()
+        }
 
     def net_outflow(self, commodity: tuple[NodeId, NodeId], node: NodeId) -> float:
         links = self.by_commodity.get(commodity, {})
@@ -484,24 +475,26 @@ class ArcIds:
 def congestion_of(net: HybridNetwork, matching: Matching, flow: Flow) -> CongestionReport:
     """Loads induced by ``flow`` on the reconfigured network.
 
-    Flow values may exceed capacities; a positive flow on a zero-capacity link
-    yields an infinite load rather than an error so optimizers can still rank
-    infeasible routings.
+    Every path must be a walk from its commodity's source to its sink over
+    links of the reconfigured network.  Each link's load adds the path
+    amounts on it in path order.  Flow values may exceed capacities; a
+    positive flow on a zero-capacity link yields an infinite load rather
+    than an error so optimizers can still rank infeasible routings.
     """
     numbered = ArcIds.network(net, matching)
-    for commodity, links in flow.by_commodity.items():
-        for arc in links:
-            if arc not in numbered.id:
-                raise FlowOnUnselectedLinkError(
-                    f"commodity {commodity} uses {arc!r} outside the reconfigured network"
-                )
-        residual = flow.conservation_residual(commodity)
-        if residual > CONSERVATION_TOL:
+    for (source, sink), arcs, _ in flow.paths:
+        nodes = [source] + [arc.head for arc in arcs]
+        if nodes[-1] != sink or any(arc.tail != node for arc, node in zip(arcs, nodes)):
             raise NonConservedFlowError(
-                f"commodity {commodity} violates conservation by {residual:.3e}"
+                f"a path of commodity {(source, sink)} is not a walk from {source} to {sink}"
             )
-    ids = [numbered.id[arc] for links in flow.by_commodity.values() for arc in links]
-    amounts = [value for links in flow.by_commodity.values() for value in links.values()]
+    ids = [numbered.id.get(arc) for _, arcs, _ in flow.paths for arc in arcs]
+    if None in ids:
+        commodity, arc = [(c, arc) for c, arcs, _ in flow.paths for arc in arcs][ids.index(None)]
+        raise FlowOnUnselectedLinkError(
+            f"commodity {commodity} uses {arc!r} outside the reconfigured network"
+        )
+    amounts = [amount for _, arcs, amount in flow.paths for _ in arcs]
     loads = numbered.loads(np.array(ids, dtype=np.intp), np.array(amounts))
     max_load = float(loads.max(initial=0.0))
     argmax = numbered.arcs[int(np.argmax(loads))] if max_load > 0 else None

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleDemandError, NotSingleSourceError
-from .evaluation import default_trials  # noqa: F401  still importable from here
 from .evaluation import EvalSpec, RoutingModel, offload_paths, route_matching
 from .evaluation import _first_cheapest, _price_matchings
 from .lp import LpSolution, build_mcrn_lp, solve_lp
@@ -81,7 +80,7 @@ def rescale_flows(solution: LpSolution, matching: Matching) -> Flow:
                 f"indicator for unmatched pair {pair} is {z}; rounding is inconsistent"
             )
         paths.extend(solution.paths(commodity, residual.get(*commodity), 1.0 / (1.0 - z)))
-    return Flow.from_paths(paths)
+    return Flow(paths)
 
 
 def solve_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
@@ -142,8 +141,8 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     """
     ensure_valid(net, demands)
     if demands.is_empty:
-        report = congestion_of(net, Matching(), Flow.empty())
-        return RoundedSolution(Matching(), Flow.empty(), 0.0, 0.0, report)
+        report = congestion_of(net, Matching(), Flow())
+        return RoundedSolution(Matching(), Flow(), 0.0, 0.0, report)
     klass = classify_demands(demands)
     if klass.structure not in (
         DemandStructure.SINGLE_SOURCE,

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
+from reconfnet import harness
 from reconfnet.errors import EmptyRecordSetError
 from reconfnet.evaluation import EvalSpec, RoutingModel
 from reconfnet.model import DemandMatrix, HybridNetwork
@@ -104,6 +106,20 @@ def test_mc_us_records_unsplittable_result() -> None:
     mc = next(r for r in records if r.algorithm == "mc_us")
     assert mc.error == ""
     assert math.isfinite(mc.congestion)
+
+
+def test_oblivious_record_times_its_routing(monkeypatch) -> None:
+    route = harness.oblivious
+
+    def slow_oblivious(*args):
+        time.sleep(0.05)
+        return route(*args)
+
+    monkeypatch.setattr(harness, "oblivious", slow_oblivious)
+    records = run_plan(_toy_plan(algorithms=("greedy", "oblivious"), repetitions=1))
+    record = next(r for r in records if r.algorithm == "oblivious")
+    assert record.error == ""
+    assert record.wall_time_ms >= 50.0
 
 
 def test_summarize_closed_forms() -> None:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
+from reconfnet.errors import NumericalFailureError
 from reconfnet.lp import LinearProgram, LpStatus, build_mcrn_lp, solve_simplex
 
 from .conftest import random_instance
@@ -107,3 +108,19 @@ def test_warm_resolve_matches_a_cold_solve(seed) -> None:
         assert np.all(warm.x <= lp.col_upper + 1e-9)
     lp.col_upper[:], lp.row_lower[:] = columns, rows
     assert solve_simplex(lp).objective == pytest.approx(first.objective, rel=1e-9)
+
+
+def test_warm_resolve_checks_the_vector_against_the_current_matrix() -> None:
+    # min x0 + 2 x1 s.t. x0 + x1 = 1: the optimum is (1, 0)
+    lp = LinearProgram(
+        matrix=scipy.sparse.coo_array(np.array([[1.0, 1.0]])),
+        row_lower=np.array([1.0]),
+        row_upper=np.array([1.0]),
+        col_upper=np.full(2, np.inf),
+        cost=np.array([1.0, 2.0]),
+    )
+    assert solve_simplex(lp).x.tolist() == [1.0, 0.0]
+    # HiGHS still holds the old matrix, so its answer misses the new row
+    lp.matrix = scipy.sparse.coo_array(np.array([[0.5, 1.0]]))
+    with pytest.raises(NumericalFailureError, match="primal residual"):
+        solve_simplex(lp)

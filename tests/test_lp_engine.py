@@ -16,7 +16,6 @@ from reconfnet.lp import (
     build_mcmf_lp,
     build_mcrn_lp,
     decompose_commodity,
-    decompose_paths,
     solve_lp,
     write_lp,
 )
@@ -105,12 +104,12 @@ def test_infeasible_when_no_positive_capacity_route() -> None:
 
 def test_mcmf_parallel_links_split_evenly() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 1, 1), (0, 1, 1, 1)], reconf_default=1.0)
-    solution = solve_lp(build_mcmf_lp(net, DemandMatrix({(0, 1): 1})))
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), DemandMatrix({(0, 1): 1})))
     assert solution.objective == pytest.approx(0.5, abs=1e-9)
 
 
 def test_mcmf_single_route_load(path_net) -> None:
-    solution = solve_lp(build_mcmf_lp(path_net, DemandMatrix({(0, 2): 2})))
+    solution = solve_lp(build_mcmf_lp(path_net.static_arcs(), DemandMatrix({(0, 2): 2})))
     assert solution.objective == pytest.approx(2.0, abs=1e-9)
 
 
@@ -123,7 +122,7 @@ def test_mcmf_k4_three_disjoint_routes() -> None:
     demands = DemandMatrix({(0, 1): 3})
     oracle = path_lp_congestion(net.static_arcs(), demands)
     assert oracle == pytest.approx(1.0, abs=1e-9)
-    solution = solve_lp(build_mcmf_lp(net, demands))
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
     assert solution.objective == pytest.approx(1.0, abs=1e-9)
 
 
@@ -131,7 +130,7 @@ def test_mcmf_k4_three_disjoint_routes() -> None:
 def test_mcmf_matches_path_oracle_on_random_instances(seed) -> None:
     net, demands = random_instance(seed, n_max=7)
     oracle = path_lp_congestion(net.static_arcs(), demands)
-    solution = solve_lp(build_mcmf_lp(net, demands))
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
     if math.isinf(oracle):
         assert solution.status is LpStatus.INFEASIBLE
     else:
@@ -178,10 +177,9 @@ def test_z_identified_across_directions() -> None:
 def test_decompose_single_path(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    flow = Flow({(0, 2): {a01: 1.0, a12: 1.0}})
-    decomposed = decompose_paths(flow)
-    assert decomposed.paths is not None and len(decomposed.paths) == 1
-    commodity, arcs, amount = decomposed.paths[0]
+    paths, _cycles, _crumbs = decompose_commodity(0, {a01: 1.0, a12: 1.0})
+    assert len(paths) == 1
+    commodity, arcs, amount = paths[0]
     assert commodity == (0, 2)
     assert arcs == (a01, a12)
     assert amount == pytest.approx(1.0)
@@ -189,30 +187,27 @@ def test_decompose_single_path(path_net) -> None:
 
 def test_decompose_removes_cycle_without_raising_loads(path_net) -> None:
     a01, a10, a12, a21 = path_net.static_arcs()
-    flow = Flow({(0, 2): {a01: 1.3, a10: 0.3, a12: 1.0}})
-    decomposed = decompose_paths(flow)
-    recomposed = decomposed.by_commodity[(0, 2)]
-    original = flow.by_commodity[(0, 2)]
-    for arc, value in recomposed.items():
+    original = {a01: 1.3, a10: 0.3, a12: 1.0}
+    paths, _cycles, _crumbs = decompose_commodity(0, original)
+    decomposed = Flow(paths)
+    for arc, value in decomposed.by_commodity[(0, 2)].items():
         assert value <= original.get(arc, 0.0) + 1e-9
     assert decomposed.net_outflow((0, 2), 0) == pytest.approx(1.0)
-    paths = decomposed.paths
     assert len(paths) == 1 and paths[0][1] == (a01, a12)
 
 
 def test_decompose_parallel_split() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 1, 1), (0, 1, 1, 1)], reconf_default=1.0)
     arcs = [a for a in net.static_arcs() if a.tail == 0]
-    flow = Flow({(0, 1): {arcs[0]: 0.5, arcs[1]: 0.5}})
-    decomposed = decompose_paths(flow)
-    assert len(decomposed.paths) == 2
-    assert all(amount == pytest.approx(0.5) for (_, _, amount) in decomposed.paths)
+    paths, _cycles, _crumbs = decompose_commodity(0, {arcs[0]: 0.5, arcs[1]: 0.5})
+    assert len(paths) == 2
+    assert all(amount == pytest.approx(0.5) for (_, _, amount) in paths)
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_recomposition_identity_on_lp_flows(seed) -> None:
     net, demands = random_instance(seed, n_max=7)
-    solution = solve_lp(build_mcmf_lp(net, demands))
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
     if not solution.optimal:
         return
     for source, links in solution.flows.items():

@@ -113,14 +113,14 @@ def test_parallel_static_links_are_legal_and_addressable() -> None:
 
 
 def test_congestion_zero_flow(path_net) -> None:
-    report = congestion_of(path_net, Matching(), Flow.empty())
+    report = congestion_of(path_net, Matching(), Flow())
     assert report.max_load == 0.0
 
 
 def test_congestion_is_flow_over_capacity() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 2, 2)], reconf_default=1.0)
     arc = net.static_arcs()[0]
-    flow = Flow({(0, 1): {arc: 3.0}})
+    flow = Flow([((0, 1), (arc,), 3.0)])
     report = congestion_of(net, Matching(), flow)
     assert report.max_load == pytest.approx(1.5)
     assert report.argmax_link == arc
@@ -130,7 +130,7 @@ def test_congestion_two_commodities_share_bottleneck(path_net) -> None:
     # both demands' only static routes go through (0, 1)
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    flow = Flow({(0, 2): {a01: 1.0, a12: 1.0}, (0, 1): {a01: 1.0}})
+    flow = Flow([((0, 2), (a01, a12), 1.0), ((0, 1), (a01,), 1.0)])
     report = congestion_of(path_net, Matching(), flow)
     assert report.max_load == pytest.approx(2.0)
     assert report.argmax_link == a01
@@ -139,12 +139,12 @@ def test_congestion_two_commodities_share_bottleneck(path_net) -> None:
 def test_zero_capacity_with_flow_gives_infinite_sentinel() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 0.0, 1.0)], reconf_default=1.0)
     arc = net.static_arcs()[0]
-    report = congestion_of(net, Matching(), Flow({(0, 1): {arc: 0.5}}))
+    report = congestion_of(net, Matching(), Flow([((0, 1), (arc,), 0.5)]))
     assert math.isinf(report.max_load)
 
 
 def test_flow_on_unselected_reconf_link_rejected(path_net) -> None:
-    flow = Flow({(0, 2): {path_net.reconf_arc(0, 2): 1.0}})
+    flow = Flow([((0, 2), (path_net.reconf_arc(0, 2),), 1.0)])
     with pytest.raises(FlowOnUnselectedLinkError):
         congestion_of(path_net, Matching(), flow)
     report = congestion_of(path_net, Matching([(0, 2)]), flow)
@@ -152,20 +152,23 @@ def test_flow_on_unselected_reconf_link_rejected(path_net) -> None:
 
 
 def test_conservation_violation_rejected(path_net) -> None:
-    a01 = path_net.static_arcs()[0]
-    a12 = path_net.static_arcs()[2]
-    flow = Flow({(0, 2): {a01: 1.0, a12: 1.0 + 5e-9}})
-    with pytest.raises(NonConservedFlowError):
-        congestion_of(path_net, Matching(), flow)
-    fine = Flow({(0, 2): {a01: 1.0, a12: 1.0 + 5e-10}})
-    congestion_of(path_net, Matching(), fine)
+    a01, a10, a12, a21 = path_net.static_arcs()
+    broken = [
+        ((0, 2), (a01,), 1.0),  # stops short of the sink
+        ((0, 2), (a01, a21), 1.0),  # a gap: 0 -> 1, then 2 -> 1
+        ((0, 2), (a12,), 1.0),  # starts at node 1, not at the source
+    ]
+    for path in broken:
+        with pytest.raises(NonConservedFlowError):
+            congestion_of(path_net, Matching(), Flow([path]))
+    congestion_of(path_net, Matching(), Flow([((0, 2), (a01, a12), 1.0)]))
 
 
 def test_congestion_scale_covariance(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    base = Flow({(0, 2): {a01: 1.0, a12: 1.0}})
-    scaled = Flow({(0, 2): {a01: 3.0, a12: 3.0}})
+    base = Flow([((0, 2), (a01, a12), 1.0)])
+    scaled = Flow([((0, 2), (a01, a12), 3.0)])
     lam1 = congestion_of(path_net, Matching(), base).max_load
     lam3 = congestion_of(path_net, Matching(), scaled).max_load
     assert lam3 == pytest.approx(3.0 * lam1)
@@ -175,7 +178,7 @@ def test_congestion_capacity_contravariance() -> None:
     for alpha in (0.5, 2.0, 4.0):
         net = HybridNetwork.build(2, static=[(0, 1, alpha, alpha)], reconf_default=1.0)
         arc = net.static_arcs()[0]
-        lam = congestion_of(net, Matching(), Flow({(0, 1): {arc: 1.0}})).max_load
+        lam = congestion_of(net, Matching(), Flow([((0, 1), (arc,), 1.0)])).max_load
         assert lam == pytest.approx(1.0 / alpha)
 
 

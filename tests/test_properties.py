@@ -117,7 +117,7 @@ def test_demands_over_eight_decades_are_served_within_twice_the_bound(instance) 
 def test_every_finite_row_bound_lies_in_the_unit_interval(instance) -> None:
     # the residual check's tolerance is absolute because of this
     net, demands = instance
-    for problem in (build_mcrn_lp(net, demands), build_mcmf_lp(net, demands)):
+    for problem in (build_mcrn_lp(net, demands), build_mcmf_lp(net.static_arcs(), demands)):
         bounds = np.concatenate([problem.lp.row_lower, problem.lp.row_upper])
         finite = bounds[np.isfinite(bounds)]
         assert np.all((finite >= 0.0) & (finite <= 1.0))
@@ -126,7 +126,7 @@ def test_every_finite_row_bound_lies_in_the_unit_interval(instance) -> None:
 @given(instance=instances())
 def test_mcmf_objective_equals_the_path_oracle(instance) -> None:
     net, demands = instance
-    solution = solve_lp(build_mcmf_lp(net, demands))
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
     assert solution.optimal
     oracle = path_lp_congestion(net.static_arcs(), demands)
     assert solution.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)

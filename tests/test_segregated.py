@@ -8,7 +8,13 @@ import math
 import pytest
 
 from reconfnet.errors import InvalidDemandError, NotSingleSourceError
-from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt, eval_matching
+from reconfnet.evaluation import (
+    EvalSpec,
+    RoutingModel,
+    brute_force_opt,
+    default_trials,
+    eval_matching,
+)
 from reconfnet.lp import LpStatus, build_mcrn_lp
 from reconfnet.lp.builder import LpSolution
 from reconfnet.model import (
@@ -18,7 +24,6 @@ from reconfnet.model import (
     Matching,
 )
 from reconfnet.segregated import (
-    default_trials,
     rescale_flows,
     round_matching,
     solve_single_source_ss,
@@ -177,7 +182,7 @@ def test_solve_us_single_route_is_deterministic(path_net) -> None:
     )
     result = solve_us(zeroed, demands, trials=5, seed=1)
     assert result.max_load == pytest.approx(1.0)
-    assert result.flow.paths is not None and len(result.flow.paths) == 1
+    assert len(result.flow.paths) == 1
 
 
 def test_solve_us_best_of_trials_on_parallel_links() -> None:
@@ -208,13 +213,23 @@ def test_solve_us_unsplittable_single_path_per_commodity() -> None:
         net, demands = random_instance(seed, n_max=8)
         result = solve_us(net, demands, seed=seed)
         per_commodity: dict = {}
-        assert result.flow.paths is not None
         for commodity, arcs, amount in result.flow.paths:
             per_commodity.setdefault(commodity, []).append((arcs, amount))
         for (i, j) in demands.commodities():
             paths = per_commodity[(i, j)]
             assert len(paths) == 1
             assert paths[0][1] == pytest.approx(demands.get(i, j), abs=1e-9)
+
+
+def test_solvers_never_build_the_per_link_view() -> None:
+    # a Flow is its paths; the per-commodity link values are for readers only
+    net = gen_k_regular(8, 3, seed=5)
+    pairs = [(i, j) for i in range(8) for j in range(8) if i != j]
+    demands = DemandMatrix({(i, j): 1.0 + (3 * i + j) % 5 for i, j in pairs})
+    stage1 = solve_ss(net, demands)
+    stage2 = solve_us(net, demands, stage1=stage1)
+    for result in (stage1, stage2):
+        assert "by_commodity" not in result.flow.__dict__
 
 
 def test_solve_us_reproducible_for_seed() -> None:
