@@ -36,17 +36,5 @@ def greedy_matching(net: HybridNetwork, demands: DemandMatrix) -> Matching:
     lexicographically on the pair.  Stops when no positive-weight pair with
     two free endpoints remains.
     """
-    weighted = sorted(
-        ((pair, demands.pair_weight(*pair)) for pair in demands.positive_pairs()),
-        key=lambda item: (-item[1], item[0]),
-    )
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for (i, j), weight in weighted:
-        if weight <= 0:
-            break
-        if i in used or j in used:
-            continue
-        chosen.append((i, j))
-        used.update((i, j))
-    return Matching(chosen)
+    weights = ((pair, demands.pair_weight(*pair)) for pair in demands.positive_pairs())
+    return Matching.greedy(weights, above=0.0)

@@ -29,13 +29,13 @@ from .evaluation import (
     solve_single_commodity_uniform,
 )
 from .harness import (
+    SummaryRow,
     export_instance,
     plan_from_json,
     run_plan,
     summarize,
     write_jsonl,
     write_records,
-    write_summary,
 )
 from .lp import build_mcrn_lp, write_lp
 from .model import (
@@ -261,7 +261,7 @@ def _cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = run_plan(plan, workers=max(args.parallel, 1))
     write_records(records, out_dir / "records.csv")
-    write_summary(summarize(records), out_dir / "summary.csv")
+    write_records(summarize(records), out_dir / "summary.csv", SummaryRow)
     if args.jsonl:
         write_jsonl(records, out_dir / "records.jsonl")
     print(f"wrote {out_dir / 'records.csv'} ({len(records)} rows)")

@@ -6,48 +6,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from enum import EnumMeta
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .baselines import greedy_matching, max_weight_matching, oblivious
 from .errors import EmptyRecordSetError, ReconfNetError
 from .evaluation import EvalSpec, RoutingModel, eval_matching
-from .model import DemandMatrix, HybridNetwork, topology_records, write_topology
-from .segregated import solve_ss, solve_us
+from .model import DemandMatrix, HybridNetwork, Matching, topology_records, write_topology
+from .segregated import RoundedSolution, solve_ss, solve_us
 from .workloads import SizeDistribution, WorkloadConfig, build_instance, write_demands
 
 ALGORITHMS = ("mc_ss", "mc_us", "greedy", "mwm", "oblivious", "lp")
-
-RECORD_COLUMNS = (
-    "algorithm",
-    "n",
-    "k",
-    "routing",
-    "seed",
-    "congestion",
-    "congestion_normalized",
-    "wall_time_ms",
-    "matching_size",
-    "instance_hash",
-    "error",
-)
-
-SUMMARY_COLUMNS = (
-    "algorithm",
-    "n",
-    "k",
-    "routing",
-    "runs",
-    "congestion_mean",
-    "congestion_sd",
-    "normalized_mean",
-    "normalized_sd",
-    "ratio_to_lp",
-)
+RELAXED = ("mc_ss", "mc_us", "lp")  # scored from the one shared relaxation
 
 
 @dataclass(frozen=True)
@@ -59,6 +36,7 @@ class ExperimentPlan:
     priced: "solver" records the load of the flow the solver itself
     constructs (carries the 2x guarantee); "eval" re-scores its matching
     under the plan's evaluation spec, like the other matching baselines.
+    The fields named like ``WorkloadConfig``'s are passed to every point.
     """
 
     node_counts: tuple[int, ...]
@@ -91,23 +69,10 @@ class ExperimentPlan:
         return tuple(self.base_seed + r for r in range(self.repetitions))
 
     def points(self) -> list[WorkloadConfig]:
-        out = []
-        for n in self.node_counts:
-            for k in self.k_values:
-                for seed in self.seed_list():
-                    out.append(
-                        WorkloadConfig(
-                            n=n,
-                            k=k,
-                            seed=seed,
-                            default_capacity=self.default_capacity,
-                            rate=self.rate,
-                            duration=self.duration,
-                            size_distribution=self.size_distribution,
-                            trace_path=self.trace_path,
-                        )
-                    )
-        return out
+        names = {f.name for f in fields(WorkloadConfig)}
+        shared = {key: value for key, value in vars(self).items() if key in names}
+        grid = itertools.product(self.node_counts, self.k_values, self.seed_list())
+        return [WorkloadConfig(n=n, k=k, seed=seed, **shared) for n, k, seed in grid]
 
 
 @dataclass(frozen=True)
@@ -140,95 +105,69 @@ def _normalized(value: float, baseline: float) -> float:
     return 1.0 if value == 0 else math.inf
 
 
+def _timed(step) -> tuple[object, str, float]:
+    """Run ``step``: its value (None if it raised), the error it raised as
+    text (recorded, never silently skipped) and its wall time in ms."""
+    start = time.perf_counter()
+    try:
+        value, error = step(), ""
+    except Exception as exc:
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return value, error, (time.perf_counter() - start) * 1000.0
+
+
 def _run_instance(plan: ExperimentPlan, config: WorkloadConfig) -> list[RunRecord]:
     net, demands = build_instance(config)
     digest = instance_hash(net, demands)
     spec = replace(plan.eval, seed=config.seed)
-    records: list[RunRecord] = []
 
+    # Two steps are shared, and a record that succeeds also carries the time
+    # of the one it used: the oblivious routing, taken first because every
+    # record is normalized by it, and the relaxation, solved at most once.
     start = time.perf_counter()
-    oblivious_load = oblivious(net, demands, spec).max_load
-    oblivious_ms = (time.perf_counter() - start) * 1000.0
+    baseline = oblivious(net, demands, spec).max_load
+    shared_ms = {"oblivious": (time.perf_counter() - start) * 1000.0}
+    relaxation, relaxation_error = None, ""
+    if set(RELAXED) & set(plan.algorithms):
+        relaxation, relaxation_error, relaxation_ms = _timed(lambda: solve_ss(net, demands))
+        shared_ms.update(dict.fromkeys(RELAXED, relaxation_ms))
 
-    ss_solution = None
-    lp_bound = None
+    def relaxed() -> RoundedSolution:
+        if relaxation is None:
+            raise RuntimeError(relaxation_error)
+        return relaxation
 
-    def needs_relaxation() -> bool:
-        return bool({"mc_ss", "mc_us", "lp"} & set(plan.algorithms))
+    def solved(result: RoundedSolution) -> tuple[float, int]:
+        return result.max_load, len(result.matching)
 
-    if needs_relaxation():
-        start = time.perf_counter()
-        try:
-            ss_solution = solve_ss(net, demands)
-            lp_bound = ss_solution.lp_bound
-            ss_time_ms = (time.perf_counter() - start) * 1000.0
-            ss_error = ""
-        except Exception as exc:  # recorded, never silently skipped
-            ss_time_ms = (time.perf_counter() - start) * 1000.0
-            ss_error = f"{type(exc).__name__}: {exc}"
+    def evaluated(matching: Matching) -> tuple[float, int]:
+        return eval_matching(net, demands, matching, spec).max_load, len(matching)
 
+    # (congestion, matching size) per algorithm; each solver is looked up
+    # when it is called, so a wrapper installed on this module sees the call.
+    scores = {
+        "mc_ss": lambda: solved(relaxed())
+        if plan.mc_scoring == "solver"
+        else evaluated(relaxed().matching),
+        "mc_us": lambda: solved(
+            solve_us(net, demands, trials=plan.us_trials, seed=config.seed, stage1=relaxed())
+        ),
+        "greedy": lambda: evaluated(greedy_matching(net, demands)),
+        "mwm": lambda: evaluated(max_weight_matching(net, demands)),
+        "oblivious": lambda: (baseline, 0),
+        "lp": lambda: (relaxed().lp_bound, 0),
+    }
+    records = []
     for algorithm in plan.algorithms:
-        start = time.perf_counter()
-        error = ""
-        congestion = math.nan
-        matching_size = 0
-        try:
-            if algorithm == "oblivious":
-                congestion = oblivious_load
-            elif algorithm == "greedy":
-                matching = greedy_matching(net, demands)
-                matching_size = len(matching)
-                congestion = eval_matching(net, demands, matching, spec).max_load
-            elif algorithm == "mwm":
-                matching = max_weight_matching(net, demands)
-                matching_size = len(matching)
-                congestion = eval_matching(net, demands, matching, spec).max_load
-            elif algorithm == "lp":
-                if ss_solution is None:
-                    raise RuntimeError(ss_error or "relaxation unavailable")
-                congestion = lp_bound
-            elif algorithm == "mc_ss":
-                if ss_solution is None:
-                    raise RuntimeError(ss_error or "relaxation unavailable")
-                matching_size = len(ss_solution.matching)
-                if plan.mc_scoring == "solver":
-                    congestion = ss_solution.max_load
-                else:
-                    congestion = eval_matching(net, demands, ss_solution.matching, spec).max_load
-            elif algorithm == "mc_us":
-                if ss_solution is None:
-                    raise RuntimeError(ss_error or "relaxation unavailable")
-                result = solve_us(
-                    net,
-                    demands,
-                    trials=plan.us_trials,
-                    seed=config.seed,
-                    stage1=ss_solution,
-                )
-                matching_size = len(result.matching)
-                congestion = result.max_load
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        if algorithm == "oblivious":
-            wall_ms += oblivious_ms  # routed first, since every record normalizes by it
-        if algorithm in ("mc_ss", "mc_us", "lp") and not error:
-            wall_ms += ss_time_ms  # the shared relaxation is part of their cost
+        score, error, wall_ms = _timed(scores[algorithm])
+        congestion, matching_size = score or (math.nan, 0)
+        if not error:
+            wall_ms += shared_ms.get(algorithm, 0.0)
+        normalized = math.nan if error else _normalized(congestion, baseline)
         records.append(
             RunRecord(
-                algorithm=algorithm,
-                n=config.n,
-                k=config.k,
-                routing=plan.eval.routing.value,
-                seed=config.seed,
-                congestion=congestion,
-                congestion_normalized=_normalized(congestion, oblivious_load)
-                if not error
-                else math.nan,
-                wall_time_ms=round(wall_ms, 3),
-                matching_size=matching_size,
-                instance_hash=digest,
-                error=error,
+                algorithm, config.n, config.k, plan.eval.routing.value, config.seed, congestion,
+                normalized, round(wall_ms, 3), matching_size, digest, error,
             )
         )
     return records
@@ -238,13 +177,16 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     """Execute the plan; records come back in deterministic order."""
     configs = plan.points()
     if workers > 1:
+        # Deferred: multiprocessing adds tens of milliseconds to every
+        # process that imports the package, and only parallel runs need it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_instance, [plan] * len(configs), configs))
     else:
         chunks = [_run_instance(plan, config) for config in configs]
     records = [record for chunk in chunks for record in chunk]
-    order = {name: idx for idx, name in enumerate(ALGORITHMS)}
-    records.sort(key=lambda r: (r.n, r.k, r.seed, order[r.algorithm]))
+    records.sort(key=lambda r: (r.n, r.k, r.seed, ALGORITHMS.index(r.algorithm)))
     return records
 
 
@@ -262,80 +204,55 @@ class SummaryRow:
     ratio_to_lp: float
 
 
+def _mean_sd(values: list[float]) -> tuple[float, float]:
+    return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
+
+
 def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     """Per (algorithm, n, k, routing): mean and sample sd over seeds, plus the
     ratio of the mean congestion to the mean LP bound of the same point."""
     if not records:
         raise EmptyRecordSetError("no records to summarize")
     groups: dict[tuple, list[RunRecord]] = {}
-    for record in records:
-        if record.error:
-            continue
-        groups.setdefault((record.algorithm, record.n, record.k, record.routing), []).append(record)
-
-    lp_means: dict[tuple, float] = {}
-    for (algorithm, n, k, routing), group in groups.items():
-        if algorithm == "lp":
-            lp_means[(n, k, routing)] = statistics.fmean(r.congestion for r in group)
-
-    rows: list[SummaryRow] = []
-    order = {name: idx for idx, name in enumerate(ALGORITHMS)}
-    for key in sorted(groups, key=lambda g: (g[1], g[2], g[3], order[g[0]])):
-        algorithm, n, k, routing = key
+    for r in records:
+        if not r.error:
+            groups.setdefault((r.algorithm, r.n, r.k, r.routing), []).append(r)
+    lp_means = {
+        key[1:]: statistics.fmean(r.congestion for r in group)
+        for key, group in groups.items()
+        if key[0] == "lp"
+    }
+    rows = []
+    for key in sorted(groups, key=lambda g: (*g[1:], ALGORITHMS.index(g[0]))):
         group = groups[key]
-        values = [r.congestion for r in group]
-        normalized = [r.congestion_normalized for r in group]
-        lp_mean = lp_means.get((n, k, routing))
-        rows.append(
-            SummaryRow(
-                algorithm=algorithm,
-                n=n,
-                k=k,
-                routing=routing,
-                runs=len(group),
-                congestion_mean=statistics.fmean(values),
-                congestion_sd=statistics.stdev(values) if len(values) > 1 else 0.0,
-                normalized_mean=statistics.fmean(normalized),
-                normalized_sd=statistics.stdev(normalized) if len(normalized) > 1 else 0.0,
-                ratio_to_lp=(statistics.fmean(values) / lp_mean)
-                if lp_mean
-                else math.nan,
-            )
-        )
+        congestion = _mean_sd([r.congestion for r in group])
+        normalized = _mean_sd([r.congestion_normalized for r in group])
+        lp_mean = lp_means.get(key[1:])
+        ratio = congestion[0] / lp_mean if lp_mean else math.nan
+        rows.append(SummaryRow(*key, len(group), *congestion, *normalized, ratio))
     return rows
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)  # nan reads "nan"
 
 
-def write_records(records: list[RunRecord], path) -> None:
+def write_records(rows: list, path, row_type: type = RunRecord) -> None:
+    """Write ``rows`` of ``row_type`` (a ``RunRecord`` or a ``SummaryRow``)
+    as CSV, one column per field in field order."""
+    columns = [f.name for f in fields(row_type)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for record in records:
-            writer.writerow([_format(getattr(record, col)) for col in RECORD_COLUMNS])
-
-
-def write_summary(rows: list[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_format(getattr(row, col)) for col in SUMMARY_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([_format(getattr(row, col)) for col in columns] for row in rows)
 
 
 def write_jsonl(records: list[RunRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            payload = {col: getattr(record, col) for col in RECORD_COLUMNS}
             payload = {
                 k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in payload.items()
+                for k, v in asdict(record).items()
             }
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -347,56 +264,84 @@ def export_instance(net: HybridNetwork, demands: DemandMatrix, topo_path, demand
     return instance_hash(net, demands)
 
 
+_BAD = object()  # a plan value whose JSON type does not fit its field
+
+
+def _describe(hint) -> str:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return f"{_describe(args[0])} or null"
+    if origin is tuple:
+        return f"a list of {_describe(args[0]).split()[-1]}s"
+    if isinstance(hint, EnumMeta):
+        return "one of " + ", ".join(repr(member.value) for member in hint)
+    names = {int: "an integer", float: "a number", str: "a string"}
+    return names.get(hint, "a list of [size, probability] pairs")  # SizeDistribution
+
+
+def _from_json(value, hint):
+    """A plan value as a value of the field type ``hint``, or ``_BAD``.
+
+    JSON lists become tuples, strings become enum members, ``null`` fills an
+    optional field, and a list of [size, probability] pairs becomes a
+    ``SizeDistribution``; a bool never counts as a number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # ``X | None``
+        return None if value is None else _from_json(value, args[0])
+    if origin is tuple:
+        if not isinstance(value, list):
+            return _BAD
+        items = tuple(_from_json(item, args[0]) for item in value)
+        return _BAD if _BAD in items else items
+    if hint is SizeDistribution:
+        pairs = _from_json(value, tuple[tuple[float, ...], ...])
+        if pairs is _BAD or not pairs or any(len(pair) != 2 for pair in pairs):
+            return _BAD
+        return SizeDistribution(*(tuple(map(float, column)) for column in zip(*pairs)))
+    if isinstance(hint, EnumMeta):
+        return hint(value) if value in [member.value for member in hint] else _BAD
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        return _BAD
+    return value
+
+
+def _plan_fields(payload: dict, cls: type, prefix: str = "") -> dict:
+    """The keys of a plan-file object as field values of ``cls``; an unknown
+    key or a value of the wrong type is refused with an error naming it."""
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in payload.items():
+        if key not in hints:
+            raise ReconfNetError(f"unknown plan key {prefix + key!r}")
+        values[key] = _from_json(value, hints[key])
+        if values[key] is _BAD:
+            expected = _describe(hints[key])
+            raise ReconfNetError(f"plan key {prefix + key!r} must be {expected}, not {value!r}")
+    return values
+
+
 def plan_from_json(payload: dict) -> ExperimentPlan:
     """Build a plan from a parsed JSON config (the CLI's --plan format).
 
-    When the plan does not pin a path limit, splittable runs default to the
-    three shortest paths and unsplittable runs to one, the usual operational
+    Each key is a field of ``ExperimentPlan``, and the keys of ``eval`` are
+    fields of ``EvalSpec``; a key left out takes the field's default.  When
+    the plan does not pin a path limit, splittable runs default to the three
+    shortest paths and unsplittable runs to one, the usual operational
     restriction at these scales.  A plan that is not a JSON object, lacks
-    ``node_counts`` or ``k_values``, or holds anything but a list of integers
-    under them or ``seeds`` is refused with an error naming the key.
+    ``node_counts`` or ``k_values``, holds an unknown key or a value of the
+    wrong type is refused with an error naming the key.
     """
     if not isinstance(payload, dict):
         raise ReconfNetError(f"plan must be a JSON object, not a {type(payload).__name__}")
     missing = [key for key in ("node_counts", "k_values") if key not in payload]
     if missing:
         raise ReconfNetError(f"plan is missing the required key(s): {', '.join(missing)}")
-    for key in ("node_counts", "k_values", "seeds"):
-        value = payload.get(key, [])
-        if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise ReconfNetError(f"plan key {key!r} must be a list of integers, not {value!r}")
-    eval_payload = payload.get("eval", {})
-    routing = RoutingModel(eval_payload.get("routing", "ss"))
-    default_limit = 3 if routing.splittable else 1
-    spec = EvalSpec(
-        routing=routing,
-        path_limit=eval_payload.get("path_limit", default_limit),
-        trials=eval_payload.get("trials"),
-        seed=eval_payload.get("seed", 0),
-    )
-    sizes = payload.get("size_distribution")
-    if sizes is None:
-        distribution = SizeDistribution.default()
-    else:
-        distribution = SizeDistribution(
-            sizes=tuple(float(s) for s, _ in sizes),
-            probabilities=tuple(float(p) for _, p in sizes),
-        )
-    return ExperimentPlan(
-        node_counts=tuple(payload["node_counts"]),
-        k_values=tuple(payload["k_values"]),
-        algorithms=tuple(payload.get("algorithms", ALGORITHMS)),
-        eval=spec,
-        repetitions=payload.get("repetitions", 5),
-        base_seed=payload.get("base_seed", 0),
-        seeds=tuple(payload["seeds"]) if "seeds" in payload else None,
-        default_capacity=payload.get("default_capacity", 1.0),
-        rate=payload.get("rate", 10.0),
-        duration=payload.get("duration", 1.0),
-        size_distribution=distribution,
-        trace_path=payload.get("trace_path"),
-        mc_scoring=payload.get("mc_scoring", "solver"),
-        us_trials=payload.get("us_trials"),
-    )
+    given = dict(payload)
+    eval_given = given.pop("eval", {})
+    if not isinstance(eval_given, dict):
+        raise ReconfNetError(f"plan key 'eval' must be an object, not {eval_given!r}")
+    plan = ExperimentPlan(**_plan_fields(given, ExperimentPlan))
+    spec = replace(plan.eval, **_plan_fields(eval_given, EvalSpec, "eval."))
+    if "path_limit" not in eval_given and not spec.routing.splittable:
+        spec = replace(spec, path_limit=1)
+    return replace(plan, eval=spec)

@@ -361,6 +361,23 @@ class Matching:
         self._pair_set = frozenset(canon)
         self._nodes = frozenset(nodes)
 
+    @classmethod
+    def greedy(
+        cls, weights: Iterable[tuple[tuple[NodeId, NodeId], float]], above: float
+    ) -> "Matching":
+        """Take (pair, weight) items by descending weight, ties broken by pair,
+        while the weight exceeds ``above``; a pair with an endpoint already
+        taken is skipped."""
+        chosen: list[tuple[NodeId, NodeId]] = []
+        used: set[NodeId] = set()
+        for pair, weight in sorted(weights, key=lambda item: (-item[1], item[0])):
+            if weight <= above:
+                break
+            if used.isdisjoint(pair):
+                chosen.append(pair)
+                used.update(pair)
+        return cls(chosen)
+
     @property
     def pairs(self) -> tuple[tuple[NodeId, NodeId], ...]:
         return self._pairs

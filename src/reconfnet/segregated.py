@@ -53,15 +53,7 @@ def round_matching(solution: LpSolution) -> Matching:
     at most that tolerance, so its 1/(1 - z) rescaling exceeds 2 by at most
     a few times the same tolerance.
     """
-    selected: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for pair, value in sorted(solution.z.items(), key=lambda item: (-item[1], item[0])):
-        if value <= 0.5:
-            break
-        if used.isdisjoint(pair):
-            selected.append(pair)
-            used.update(pair)
-    return Matching(selected)
+    return Matching.greedy(solution.z.items(), above=0.5)
 
 
 def rescale_flows(solution: LpSolution, matching: Matching) -> Flow:

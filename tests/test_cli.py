@@ -326,9 +326,24 @@ def test_experiment_plan_without_required_key_is_usage_error(tmp_path, capsys, p
         assert (key in err) == (key not in present)
 
 
+PLAN = {"node_counts": [8], "k_values": [3], "algorithms": ["greedy"], "rate": 6.0}
+
+
 @pytest.mark.parametrize(
     "payload, seed, named",
-    [({"node_counts": 8, "k_values": [3]}, [], "node_counts"), ([], ["--seed", "3"], "JSON object")],
+    [
+        ({"node_counts": 8, "k_values": [3]}, [], "node_counts"),
+        ([], ["--seed", "3"], "JSON object"),
+        ({**PLAN, "repetition": 1}, [], "'repetition'"),
+        ({**PLAN, "eval": {"routnig": "us"}}, [], "'eval.routnig'"),
+        ({**PLAN, "rate": "6"}, [], "'rate'"),
+        ({**PLAN, "eval": "ss"}, [], "'eval'"),
+        ({**PLAN, "algorithms": "greedy"}, [], "'algorithms'"),
+        ({**PLAN, "eval": {"routing": "xx"}}, [], "'eval.routing'"),
+        ({**PLAN, "repetitions": True}, [], "'repetitions'"),
+        ({**PLAN, "size_distribution": [[1.0]]}, [], "'size_distribution'"),
+        ({**PLAN, "node_counts": []}, [], "no records to summarize"),
+    ],
 )
 def test_experiment_plan_with_wrong_types_is_usage_error(
     tmp_path, capsys, payload, seed, named

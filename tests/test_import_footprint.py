@@ -3,6 +3,8 @@
 scipy.optimize (the LP solver) and networkx (the exact maximum-weight
 matching) each add more than 10 MiB to a process.  Callers that never solve
 an LP, or never ask for the networkx baseline, should not pay for them.
+multiprocessing, which only a parallel experiment run needs, costs tens of
+milliseconds of import time and stays out of both kinds of call.
 Each check runs in a fresh interpreter, since this test process has long
 since imported both.
 """
@@ -27,9 +29,10 @@ demands = DemandMatrix({(0, 5): 2.0, (1, 6): 1.0, (2, 7): 3.0, (5, 0): 1.0})
 spec = EvalSpec(RoutingModel.UN, path_limit=1)
 oblivious(net, demands, spec)
 eval_matching(net, demands, greedy_matching(net, demands), spec)
-after_baselines = sorted(m for m in ("scipy.optimize", "networkx") if m in sys.modules)
+WATCHED = ("scipy.optimize", "networkx", "multiprocessing")
+after_baselines = sorted(m for m in WATCHED if m in sys.modules)
 solve_ss(net, demands)
-after_solve_ss = sorted(m for m in ("scipy.optimize", "networkx") if m in sys.modules)
+after_solve_ss = sorted(m for m in WATCHED if m in sys.modules)
 print(json.dumps([after_baselines, after_solve_ss]))
 """
 
@@ -42,4 +45,4 @@ def test_lp_free_calls_load_neither_scipy_optimize_nor_networkx() -> None:
     )
     after_baselines, after_solve_ss = json.loads(done.stdout.strip().splitlines()[-1])
     assert after_baselines == []
-    assert after_solve_ss == ["scipy.optimize"]  # the LP solve loads it, networkx stays out
+    assert after_solve_ss == ["scipy.optimize"]  # the LP solve loads it, the others stay out
