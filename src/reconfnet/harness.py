@@ -36,7 +36,8 @@ class ExperimentPlan:
     priced: "solver" records the load of the flow the solver itself
     constructs (carries the 2x guarantee); "eval" re-scores its matching
     under the plan's evaluation spec, like the other matching baselines.
-    The fields named like ``WorkloadConfig``'s are passed to every point.
+    The fields named like ``WorkloadConfig``'s take its defaults and are
+    passed to every point.
     """
 
     node_counts: tuple[int, ...]
@@ -46,9 +47,9 @@ class ExperimentPlan:
     repetitions: int = 5
     base_seed: int = 0
     seeds: tuple[int, ...] | None = None
-    default_capacity: float = 1.0
-    rate: float = 10.0
-    duration: float = 1.0
+    default_capacity: float = WorkloadConfig.default_capacity
+    rate: float = WorkloadConfig.rate
+    duration: float = WorkloadConfig.duration
     size_distribution: SizeDistribution = field(default_factory=SizeDistribution.default)
     trace_path: str | None = None
     mc_scoring: str = "solver"
@@ -146,9 +147,9 @@ def _run_instance(plan: ExperimentPlan, config: WorkloadConfig) -> list[RunRecor
     # (congestion, matching size) per algorithm; each solver is looked up
     # when it is called, so a wrapper installed on this module sees the call.
     scores = {
-        "mc_ss": lambda: solved(relaxed())
-        if plan.mc_scoring == "solver"
-        else evaluated(relaxed().matching),
+        "mc_ss": lambda: (
+            evaluated(relaxed().matching) if plan.mc_scoring == "eval" else solved(relaxed())
+        ),
         "mc_us": lambda: solved(
             solve_us(net, demands, trials=plan.us_trials, seed=config.seed, stage1=relaxed())
         ),

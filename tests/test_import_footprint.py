@@ -6,7 +6,7 @@ an LP, or never ask for the networkx baseline, should not pay for them.
 multiprocessing, which only a parallel experiment run needs, costs tens of
 milliseconds of import time and stays out of both kinds of call.
 Each check runs in a fresh interpreter, since this test process has long
-since imported both.
+since imported them.
 """
 
 from __future__ import annotations
