@@ -91,7 +91,7 @@ def _digest(tmp_path, plan: dict) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
-def test_experiment_outputs_are_pinned(tmp_path, capsys, name) -> None:
+def test_experiment_outputs_are_pinned(tmp_path, name) -> None:
     assert _digest(tmp_path, PLANS[name]) == PINNED[name]
 
 
