@@ -175,11 +175,27 @@ def _route_splittable_exact(
 
 def _best_rounding(menus: Iterable[list[FlowPath]], trials: int, seed: int) -> Iterator[list[int]]:
     """The seeded draws of randomized rounding: per trial, one path index per
-    commodity, drawn with probability proportional to the path amounts."""
+    commodity, drawn with probability proportional to the path amounts.
+
+    Each trial draws one uniform u per commodity and picks the number of
+    entries of the menu's normalised CDF that are at most u.  The CDFs are
+    built as ``Generator.choice`` builds them and the uniforms come from the
+    same stream, so the picks are those of one ``choice(p=...)`` call per
+    commodity, in commodity order."""
     rng = np.random.default_rng(seed)
-    weights = [np.array([amount for (_, _, amount) in paths]) for paths in menus]
+    cdfs = []
+    for paths in menus:
+        w = np.array([amount for (_, _, amount) in paths])
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
+    sizes = np.array([len(cdf) for cdf in cdfs], dtype=np.intp)
+    flat = np.concatenate(cdfs)
+    owner = np.repeat(np.arange(len(cdfs)), sizes)  # the menu of each entry
+    starts = np.cumsum(sizes) - sizes  # the first entry of each menu
     for _ in range(max(trials, 1)):
-        yield [int(rng.choice(len(w), p=w / w.sum())) for w in weights]
+        u = rng.random(len(cdfs))
+        yield np.add.reduceat(flat <= u[owner], starts, dtype=np.intp).tolist()
 
 
 def _cheapest_routing(

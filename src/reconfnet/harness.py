@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -93,11 +92,12 @@ class RunRecord:
 
 def instance_hash(net: HybridNetwork, demands: DemandMatrix) -> str:
     """Stable digest of the serialized instance all algorithms consume."""
-    topo = io.StringIO()
-    topo.writelines(record + "\n" for record in topology_records(net))
-    for (i, j), d in sorted(demands.entries.items()):
-        topo.write(f"D {i} {j} {d:.12g}\n")
-    return hashlib.sha256(topo.getvalue().encode()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    for chunk in topology_records(net):
+        digest.update(chunk.encode())
+    entries = sorted(demands.entries.items())
+    digest.update("".join(f"D {i} {j} {d:.12g}\n" for (i, j), d in entries).encode())
+    return digest.hexdigest()[:16]
 
 
 def _normalized(value: float, baseline: float) -> float:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..model import DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
+from ..model import ArcIds, DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
 from ..paths import k_shortest_paths
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .linprog import LinearProgram, LpStatus, solve_simplex
@@ -60,6 +60,11 @@ class LpProblem:
     def trivially_optimal(self) -> bool:
         return not self.sources
 
+    @cached_property
+    def numbered(self) -> ArcIds:
+        """``arcs`` numbered by position, the ids that key each source's flow."""
+        return ArcIds(self.arcs)
+
     def sink_rows(self, commodities: Sequence[tuple[NodeId, NodeId]]) -> np.ndarray:
         """The flow row of each commodity's sink: the one row whose lower
         bound is that commodity's demand."""
@@ -70,12 +75,13 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    """Fractional optimum: objective, indicators, and per-source flows."""
+    """Fractional optimum: objective, indicators, and per-source flows, each
+    keyed by arc id (the index into ``problem.arcs``)."""
 
     status: LpStatus
     objective: float
     z: dict[tuple[NodeId, NodeId], float]
-    flows: dict[NodeId, dict[DirectedLink, float]]
+    flows: dict[NodeId, dict[int, float]]
     problem: LpProblem
     iterations: int = 0
 
@@ -92,7 +98,9 @@ class LpSolution:
         grouped: dict[Commodity, list[FlowPath]] = {}
         crumbs: dict[Commodity, list[FlowPath]] = {}
         for source, links in self.flows.items():
-            paths, _cycles, dropped = decompose_commodity(source, links, noise=noise)
+            paths, _cycles, dropped = decompose_commodity(
+                source, links, self.problem.numbered, noise=noise
+            )
             for path in paths:
                 grouped.setdefault(path[0], []).append(path)
             for path in dropped:
@@ -261,11 +269,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     scale = problem.demand_scale
     z_col = 1 + len(problem.sources) * len(problem.arcs)
     z = dict(zip(problem.z_pairs, np.clip(result.x[z_col:], 0.0, 1.0).tolist()))
-    flows: dict[NodeId, dict[DirectedLink, float]] = {}
+    flows: dict[NodeId, dict[int, float]] = {}
     per_source = result.x[1:z_col].reshape(len(problem.sources), -1) * scale
     for source, values in zip(problem.sources, per_source):
         used = np.flatnonzero(values > 1e-11 * scale)
-        flows[source] = {problem.arcs[a]: float(values[a]) for a in used}
+        flows[source] = dict(zip(used.tolist(), values[used].tolist()))
     return LpSolution(
         LpStatus.OPTIMAL, result.objective * scale, z, flows, problem, result.iterations
     )

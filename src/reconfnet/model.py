@@ -480,6 +480,15 @@ class ArcIds:
         """A reconfigured network's arcs in congestion order: static, then matched."""
         return cls(net.static_arcs() + matching.arcs(net))
 
+    @cached_property
+    def ends(self) -> tuple[list[NodeId], list[NodeId], list[int]]:
+        """Each id's tail and head, and its rank in ``arc_order``."""
+        order = sorted(range(len(self.arcs)), key=lambda k: arc_order(self.arcs[k]))
+        ranks = [0] * len(order)
+        for rank, k in enumerate(order):
+            ranks[k] = rank
+        return [arc.tail for arc in self.arcs], [arc.head for arc in self.arcs], ranks
+
     def loads(self, ids: np.ndarray, amounts: np.ndarray) -> np.ndarray:
         """Each arc's load when ``amounts[k]`` flows on arc ``ids[k]``, summed in order."""
         flow = np.bincount(ids, weights=amounts, minlength=len(self.arcs))
@@ -535,24 +544,39 @@ def infinite_congestion() -> CongestionReport:
 
 
 def topology_records(net: HybridNetwork) -> Iterator[str]:
-    """The S and R record lines of ``net``: static links in order, then every
-    candidate pair in pair order."""
-    for link in net.static_links:
-        yield f"S {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}"
-    default = f"{net.reconf_default:.12g} {net.reconf_default:.12g}"
-    overrides = dict(net.reconf_overrides)
-    for i, j in itertools.combinations(range(net.n), 2):
-        caps = overrides.get((i, j))
-        if caps is None:
-            yield f"R {i} {j} {default}"
-        else:
-            yield f"R {i} {j} {caps[0]:.12g} {caps[1]:.12g}"
+    """The S and R record lines of ``net``, each ending in a newline: the
+    static links in order, then every candidate pair in pair order, one
+    chunk of lines per node row.  A row's runs of default-capacity pairs are
+    formatted with one ``join`` each."""
+    yield "".join(
+        f"S {link.u} {link.v} {link.cap_uv:.12g} {link.cap_vu:.12g}\n" for link in net.static_links
+    )
+    suffix = f" {net.reconf_default:.12g} {net.reconf_default:.12g}\n"
+    rows: dict[NodeId, list[tuple[NodeId, tuple[float, float]]]] = {}
+    for (i, j), caps in net.reconf_overrides:  # sorted, with i < j
+        rows.setdefault(i, []).append((j, caps))
+    for i in range(net.n - 1):
+        prefix, chunk, start = f"R {i} ", [], i + 1
+        for j, (cap_ij, cap_ji) in rows.get(i, ()):
+            if start <= j < net.n:
+                chunk.append(_default_records(prefix, suffix, start, j))
+                chunk.append(f"{prefix}{j} {cap_ij:.12g} {cap_ji:.12g}\n")
+                start = j + 1
+        chunk.append(_default_records(prefix, suffix, start, net.n))
+        yield "".join(chunk)
+
+
+def _default_records(prefix: str, suffix: str, start: int, stop: int) -> str:
+    """The records ``prefix j suffix`` of the pairs j in [start, stop)."""
+    if start >= stop:
+        return ""
+    return prefix + (suffix + prefix).join(map(str, range(start, stop))) + suffix
 
 
 def write_topology(net: HybridNetwork, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes={net.n}\n")
-        fh.writelines(record + "\n" for record in topology_records(net))
+        fh.writelines(topology_records(net))
 
 
 def read_topology(path, default_reconf_capacity: float = 1.0) -> HybridNetwork:

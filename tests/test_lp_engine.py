@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from reconfnet.lp import (
@@ -19,7 +20,7 @@ from reconfnet.lp import (
     solve_lp,
     write_lp,
 )
-from reconfnet.model import DemandMatrix, Flow, HybridNetwork
+from reconfnet.model import ArcIds, DemandMatrix, Flow, HybridNetwork, Matching, arc_order, pair_key
 
 from .conftest import random_instance
 from .oracles import (
@@ -177,7 +178,7 @@ def test_z_identified_across_directions() -> None:
 def test_decompose_single_path(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    paths, _cycles, _crumbs = decompose_commodity(0, {a01: 1.0, a12: 1.0})
+    paths, _cycles, _crumbs = decompose_commodity(0, {0: 1.0, 2: 1.0}, ArcIds(path_net.static_arcs()))
     assert len(paths) == 1
     commodity, arcs, amount = paths[0]
     assert commodity == (0, 2)
@@ -188,7 +189,9 @@ def test_decompose_single_path(path_net) -> None:
 def test_decompose_removes_cycle_without_raising_loads(path_net) -> None:
     a01, a10, a12, a21 = path_net.static_arcs()
     original = {a01: 1.3, a10: 0.3, a12: 1.0}
-    paths, _cycles, _crumbs = decompose_commodity(0, original)
+    paths, _cycles, _crumbs = decompose_commodity(
+        0, {0: 1.3, 1: 0.3, 2: 1.0}, ArcIds(path_net.static_arcs())
+    )
     decomposed = Flow(paths)
     for arc, value in decomposed.by_commodity[(0, 2)].items():
         assert value <= original.get(arc, 0.0) + 1e-9
@@ -199,19 +202,17 @@ def test_decompose_removes_cycle_without_raising_loads(path_net) -> None:
 def test_decompose_parallel_split() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 1, 1), (0, 1, 1, 1)], reconf_default=1.0)
     arcs = [a for a in net.static_arcs() if a.tail == 0]
-    paths, _cycles, _crumbs = decompose_commodity(0, {arcs[0]: 0.5, arcs[1]: 0.5})
+    paths, _cycles, _crumbs = decompose_commodity(0, {0: 0.5, 1: 0.5}, ArcIds(arcs))
     assert len(paths) == 2
     assert all(amount == pytest.approx(0.5) for (_, _, amount) in paths)
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_recomposition_identity_on_lp_flows(seed) -> None:
-    net, demands = random_instance(seed, n_max=7)
-    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
-    if not solution.optimal:
-        return
-    for source, links in solution.flows.items():
-        paths, cycles, crumbs = decompose_commodity(source, links)
+def _assert_recomposes(solution) -> None:
+    """Paths, crumbs and cycles of each id-keyed source flow add up to it."""
+    numbered = solution.problem.numbered
+    for source, ids in solution.flows.items():
+        links = {numbered.arcs[a]: value for a, value in ids.items()}
+        paths, cycles, crumbs = decompose_commodity(source, ids, numbered)
         recomposed: dict = {}
         for _, arcs, amount in paths + crumbs:
             for arc in arcs:
@@ -223,6 +224,48 @@ def test_recomposition_identity_on_lp_flows(seed) -> None:
             assert recomposed.get(arc, 0.0) == pytest.approx(value, abs=1e-9)
         for arc, value in recomposed.items():
             assert links.get(arc, 0.0) == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_recomposition_identity_on_lp_flows(seed) -> None:
+    net, demands = random_instance(seed, n_max=7)
+    solution = solve_lp(build_mcmf_lp(net.static_arcs(), demands))
+    if not solution.optimal:
+        return
+    _assert_recomposes(solution)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_recomposition_identity_on_mcrn_lp_flows(seed) -> None:
+    net, demands = random_instance(seed, n_max=7)
+    solution = solve_lp(build_mcrn_lp(net, demands))
+    assert solution.optimal
+    _assert_recomposes(solution)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("order", ["sn", "shuffled"])
+def test_decomposition_walks_arc_order_whatever_the_ids(seed, order) -> None:
+    net, demands = random_instance(seed, n_max=7)
+    if order == "sn":  # static arcs, then a matching's: as build_mcmf_lp gets them under sn
+        weights = ((pair_key(*c), demands.get(*c)) for c in demands.commodities())
+        arcs = net.static_arcs() + Matching.greedy(weights, above=0.0).arcs(net)
+    else:
+        arcs = list(net.static_arcs())
+        np.random.default_rng(seed).shuffle(arcs)
+    problem = build_mcmf_lp(arcs, demands)
+    solution = solve_lp(problem)
+    assert solution.optimal
+    assert list(problem.arcs) != sorted(problem.arcs, key=arc_order)
+    by_arc = ArcIds(sorted(problem.arcs, key=arc_order))
+    for source, ids in solution.flows.items():
+        # the same flow, numbered and listed in arc order
+        sorted_ids = dict(sorted((by_arc.id[problem.arcs[a]], v) for a, v in ids.items()))
+        got = decompose_commodity(source, ids, problem.numbered)
+        want = decompose_commodity(source, sorted_ids, by_arc)
+        for got_paths, want_paths in zip(got, want):  # paths, cycles, crumbs
+            assert [p[:-1] for p in got_paths] == [p[:-1] for p in want_paths]
+            assert [p[-1] for p in got_paths] == pytest.approx([p[-1] for p in want_paths])
 
 
 def test_integrality_gap_two_witness(path_net) -> None:

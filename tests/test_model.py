@@ -26,6 +26,7 @@ from reconfnet.model import (
     classify_demands,
     congestion_of,
     read_topology,
+    topology_records,
     validate_network,
     write_topology,
 )
@@ -254,6 +255,18 @@ def test_topology_round_trip_keeps_every_capacity(net, tmp_path_factory) -> None
                 assert loaded.reconf_capacity(i, j) == net.reconf_capacity(i, j)
     demands = DemandMatrix({(0, 1): 1.0})
     assert instance_hash(loaded, demands) == instance_hash(net, demands)
+
+
+@settings(max_examples=50)
+@given(net=small_networks())
+def test_topology_records_are_one_line_per_link_and_pair(net) -> None:
+    expected = [f"S {l.u} {l.v} {l.cap_uv:.12g} {l.cap_vu:.12g}\n" for l in net.static_links]
+    expected += [
+        f"R {i} {j} {net.reconf_capacity(i, j):.12g} {net.reconf_capacity(j, i):.12g}\n"
+        for i in range(net.n)
+        for j in range(i + 1, net.n)
+    ]
+    assert "".join(topology_records(net)) == "".join(expected)
 
 
 def test_topology_reader_swaps_reversed_record_and_keeps_the_later_one(tmp_path) -> None:

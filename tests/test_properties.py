@@ -4,7 +4,8 @@ Networks have at most seven nodes and a connected static topology; every
 capacity and demand is drawn from {1, 2, 3}.  One property instead draws up
 to ten nodes, capacities from 0.5 to 1000 and demands over eight decades.
 The properties hold for any correct LP formulation and any path
-decomposition, so they guard changes to either.  Demand files and seeded solves get a round trip and a repeat.
+decomposition, so they guard changes to either.  Demand files and seeded solves get a round trip and a repeat,
+and the batched rounding draws are held to one ``Generator.choice`` call per commodity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconfnet.evaluation import EvalSpec, RoutingModel, brute_force_opt
+from reconfnet.evaluation import EvalSpec, RoutingModel, _best_rounding, brute_force_opt
 from reconfnet.lp import build_mcmf_lp, build_mcrn_lp, solve_lp, solver_noise
 from reconfnet.model import DemandMatrix, HybridNetwork, pair_key
 from reconfnet.segregated import solve_single_source_ss, solve_ss, solve_us
@@ -194,3 +195,25 @@ def test_solve_us_repeats_itself_for_a_fixed_seed(instance, seed) -> None:
     assert first.matching == second.matching
     assert first.flow.paths == second.flow.paths
     assert first.max_load == second.max_load
+
+
+AMOUNT = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)  # 1e-6 to 1e6, every decade
+
+
+@settings(max_examples=60)
+@given(
+    menus=st.lists(st.lists(AMOUNT, min_size=1, max_size=6), min_size=1, max_size=40),
+    trials=st.integers(1, 12),
+    seed=st.integers(min_value=0),
+)
+def test_rounding_draws_are_those_of_one_choice_call_per_commodity(menus, trials, seed) -> None:
+    """The batched draws equal one ``Generator.choice`` per commodity per
+    trial on the same stream, so a numpy whose ``choice`` draws differently
+    fails here instead of moving the unsplittable outputs silently."""
+    rng = np.random.default_rng(seed)
+    weights = [np.array(amounts) for amounts in menus]
+    expected = [
+        [int(rng.choice(len(w), p=w / w.sum())) for w in weights] for _ in range(trials)
+    ]
+    paths = [[((0, 1), (), amount) for amount in amounts] for amounts in menus]
+    assert list(_best_rounding(paths, trials, seed)) == expected

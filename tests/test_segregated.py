@@ -83,7 +83,7 @@ def test_rescale_divides_by_one_minus_z(path_net) -> None:
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
     solution = _solution(
-        path_net, demands, {(0, 2): 0.4}, {0: {a01: 1.8, a12: 1.8}}
+        path_net, demands, {(0, 2): 0.4}, {0: {0: 1.8, 2: 1.8}}
     )
     flow = rescale_flows(solution, Matching([]))
     assert flow.net_outflow((0, 2), 0) == pytest.approx(3.0, abs=1e-9)
@@ -92,10 +92,8 @@ def test_rescale_divides_by_one_minus_z(path_net) -> None:
 
 def test_rescale_routes_matched_demand_on_reconf_link(path_net) -> None:
     demands = DemandMatrix({(0, 2): 3})
-    a01 = path_net.static_arcs()[0]
-    a12 = path_net.static_arcs()[2]
     solution = _solution(
-        path_net, demands, {(0, 2): 0.6}, {0: {a01: 1.2, a12: 1.2}}
+        path_net, demands, {(0, 2): 0.6}, {0: {0: 1.2, 2: 1.2}}
     )
     flow = rescale_flows(solution, Matching([(0, 2)]))
     links = flow.by_commodity[(0, 2)]
@@ -107,7 +105,7 @@ def test_rescale_identity_when_z_zero(path_net) -> None:
     demands = DemandMatrix({(0, 2): 1})
     a01 = path_net.static_arcs()[0]
     a12 = path_net.static_arcs()[2]
-    solution = _solution(path_net, demands, {(0, 2): 0.0}, {0: {a01: 1.0, a12: 1.0}})
+    solution = _solution(path_net, demands, {(0, 2): 0.0}, {0: {0: 1.0, 2: 1.0}})
     flow = rescale_flows(solution, Matching([]))
     assert flow.by_commodity[(0, 2)][a01] == pytest.approx(1.0)
     assert flow.by_commodity[(0, 2)][a12] == pytest.approx(1.0)
