@@ -47,14 +47,12 @@ from .model import (
     read_topology,
 )
 from .segregated import solve_single_source_ss, solve_ss, solve_us
-from .workloads import gen_k_regular, gen_pfabric_demands, load_trace
+from .workloads import WorkloadConfig, build_instance, load_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAPABILITY = 4
-
-ORACLE_NODE_LIMIT = 8
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -127,13 +125,11 @@ def main(argv=None) -> int:
 
 
 def _cmd_generate(args) -> int:
-    net = gen_k_regular(args.nodes, args.degree, args.seed, capacity=args.capacity)
-    if args.trace is not None:
-        demands, _summary = load_trace(args.trace)
-    else:
-        demands = gen_pfabric_demands(
-            args.nodes, args.rate, args.duration, seed=args.seed + 1
-        )
+    config = WorkloadConfig(
+        n=args.nodes, k=args.degree, seed=args.seed, default_capacity=args.capacity,
+        rate=args.rate, duration=args.duration, trace_path=args.trace,
+    )
+    net, demands = build_instance(config)
     digest = export_instance(net, demands, args.out_topology, args.out_demands)
     print(f"topology: {args.out_topology}")
     print(f"demands:  {args.out_demands}")
@@ -224,28 +220,18 @@ def _cmd_solve(args) -> int:
 
 def _solve_exact(net, demands, spec: EvalSpec):
     """Route to a tractable exact solver, or the toy-scale oracle, or refuse."""
-    klass = classify_demands(demands)
-    if spec.routing.segregated and spec.routing.splittable and klass.structure in (
-        DemandStructure.SINGLE_SOURCE,
-        DemandStructure.SINGLE_DESTINATION,
-        DemandStructure.SINGLE_COMMODITY,
-    ):
+    structure = classify_demands(demands).structure
+    if spec.routing is RoutingModel.SS and structure is not DemandStructure.MULTI:
         result = solve_single_source_ss(net, demands)
         return result.matching, result.report
     if (
         not spec.routing.segregated
-        and klass.structure is DemandStructure.SINGLE_COMMODITY
+        and structure is DemandStructure.SINGLE_COMMODITY
         and len(net.capacities()) == 1
         and net.c_max > 0
     ):
         return solve_single_commodity_uniform(net, demands)
-    if net.n > ORACLE_NODE_LIMIT:
-        raise InstanceTooLargeError(
-            f"exact solving for routing model '{spec.routing.value}' on {net.n} nodes is "
-            f"refused: the general problem is NP-hard and the exhaustive oracle is "
-            f"capped at {ORACLE_NODE_LIMIT} nodes"
-        )
-    return brute_force_opt(net, demands, spec, node_limit=ORACLE_NODE_LIMIT)
+    return brute_force_opt(net, demands, spec)
 
 
 def _cmd_experiment(args) -> int:

@@ -16,7 +16,6 @@ from .errors import (
     InstanceTooLargeError,
     NonUniformCapacitiesError,
     NotSingleCommodityError,
-    NumericalFailureError,
 )
 from .lp import build_mcmf_lp, scale_paths_to, solve_lp, solver_noise
 from .lp.linprog import LinearProgram, LpStatus, solve_simplex
@@ -336,15 +335,13 @@ def _uniform_capacity(net: HybridNetwork) -> float:
 # Exhaustive optimizer (the oracle for toy instances).
 # ---------------------------------------------------------------------------
 
+ORACLE_NODE_LIMIT = 8
 _PATH_ASSIGNMENT_BUDGET = 1_000_000
 T = TypeVar("T")
 
 
 def brute_force_opt(
-    net: HybridNetwork,
-    demands: DemandMatrix,
-    spec: EvalSpec,
-    node_limit: int = 8,
+    net: HybridNetwork, demands: DemandMatrix, spec: EvalSpec
 ) -> tuple[Matching, CongestionReport]:
     """True optimum by enumerating every relevant matching.
 
@@ -354,10 +351,15 @@ def brute_force_opt(
     enumerate only the maximal matchings over all candidate pairs, because
     an extra active link never raises the optimum: the flow may leave it
     unused.  Unsplittable models additionally enumerate path assignments
-    exhaustively, bounded by a path-count budget.
+    exhaustively, bounded by a path-count budget.  Networks of more than
+    ``ORACLE_NODE_LIMIT`` nodes are refused.
     """
-    if net.n > node_limit:
-        raise InstanceTooLargeError(f"{net.n} nodes exceeds the oracle limit {node_limit}")
+    if net.n > ORACLE_NODE_LIMIT:
+        raise InstanceTooLargeError(
+            f"exact solving for routing model '{spec.routing.value}' on {net.n} nodes is "
+            f"refused: the general problem is NP-hard and the exhaustive oracle is "
+            f"capped at {ORACLE_NODE_LIMIT} nodes"
+        )
     if spec.routing.segregated:
         base_pairs = list(demands.positive_pairs())
     else:
@@ -428,8 +430,6 @@ def _price_matchings(
         for pair, columns in arc_columns.items():
             lp.col_upper[columns] = np.inf if pair in matching else 0.0
         result = solve_simplex(lp)
-        if result.status is LpStatus.UNBOUNDED:
-            raise NumericalFailureError("congestion LP reported unbounded")
         if result.status is LpStatus.INFEASIBLE:
             yield matching, None
             continue

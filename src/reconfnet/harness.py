@@ -52,7 +52,6 @@ class ExperimentPlan:
     size_distribution: SizeDistribution = field(default_factory=SizeDistribution.default)
     trace_path: str | None = None
     mc_scoring: str = "solver"
-    us_trials: int | None = None
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -151,7 +150,7 @@ def _run_instance(plan: ExperimentPlan, config: WorkloadConfig) -> list[RunRecor
             evaluated(relaxed().matching) if plan.mc_scoring == "eval" else solved(relaxed())
         ),
         "mc_us": lambda: solved(
-            solve_us(net, demands, trials=plan.us_trials, seed=config.seed, stage1=relaxed())
+            solve_us(net, demands, trials=spec.trials, seed=spec.seed, stage1=relaxed())
         ),
         "greedy": lambda: evaluated(greedy_matching(net, demands)),
         "mwm": lambda: evaluated(max_weight_matching(net, demands)),
@@ -325,7 +324,8 @@ def plan_from_json(payload: dict) -> ExperimentPlan:
     """Build a plan from a parsed JSON config (the CLI's --plan format).
 
     Each key is a field of ``ExperimentPlan``, and the keys of ``eval`` are
-    fields of ``EvalSpec``; a key left out takes the field's default.  When
+    fields of ``EvalSpec`` other than ``seed``, which every instance takes
+    from its own seed; a key left out takes the field's default.  When
     the plan does not pin a path limit, splittable runs default to the three
     shortest paths and unsplittable runs to one, the usual operational
     restriction at these scales.  A plan that is not a JSON object, lacks
@@ -341,6 +341,8 @@ def plan_from_json(payload: dict) -> ExperimentPlan:
     eval_given = given.pop("eval", {})
     if not isinstance(eval_given, dict):
         raise ReconfNetError(f"plan key 'eval' must be an object, not {eval_given!r}")
+    if "seed" in eval_given:
+        raise ReconfNetError("plan key 'eval.seed' is refused: every instance uses its own seed")
     plan = ExperimentPlan(**_plan_fields(given, ExperimentPlan))
     spec = replace(plan.eval, **_plan_fields(eval_given, EvalSpec, "eval."))
     if "path_limit" not in eval_given and not spec.routing.splittable:

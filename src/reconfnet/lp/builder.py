@@ -259,8 +259,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution(LpStatus.OPTIMAL, 0.0, {}, {}, problem)
 
     result = solve_simplex(problem.lp)
-    if result.status is LpStatus.UNBOUNDED:
-        raise NumericalFailureError("congestion LP reported unbounded")
     if result.status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, math.inf, {}, {}, problem, result.iterations)
 

@@ -28,7 +28,6 @@ RESIDUAL_TOL = 1e-7
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass
@@ -99,7 +98,9 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     only the row and column bounds that changed since; the matrix and cost
     must not change in between.  An optimal vector with a primal residual
     above ``RESIDUAL_TOL`` raises, and so does any HiGHS outcome other than
-    optimal, infeasible or unbounded (iteration limit, numerical trouble).
+    optimal or infeasible.  Every program the toolkit builds minimises a
+    nonnegative congestion over nonnegative columns, so an unbounded one is
+    a numerical failure like an iteration limit.
     """
     core = _binding()
     held = lp._held
@@ -118,8 +119,6 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         return SimplexResult(LpStatus.OPTIMAL, info.objective_function_value, x, iterations)
     if model_status == core.HighsModelStatus.kInfeasible:
         return SimplexResult(LpStatus.INFEASIBLE, float("nan"), np.zeros(lp.num_vars), iterations)
-    if model_status == core.HighsModelStatus.kUnbounded:
-        return SimplexResult(LpStatus.UNBOUNDED, float("-inf"), np.zeros(lp.num_vars), iterations)
     status = highs.modelStatusToString(model_status)
     raise NumericalFailureError(f"HiGHS stopped with status {status}")
 

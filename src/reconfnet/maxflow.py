@@ -1,49 +1,32 @@
 """Integer max-flow routines for the uniform-capacity special case.
 
 Capacities are expressed in whole units (one unit per parallel link
-direction), which keeps augmenting-path flows integral and exact.
+direction), which keeps augmenting-path flows integral and exact.  A graph is
+a pair of ``tails``/``heads`` arrays with one unit arc per entry; parallel
+entries add up.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .model import HybridNetwork, Matching, NodeId
 
 
-def edmonds_karp(
-    capacity: dict[int, dict[int, int]], s: int, t: int
-) -> tuple[int, dict[int, dict[int, int]]]:
-    """Max s-t flow on an integer-capacity digraph given as nested dicts.
+def _max_flow(tails: np.ndarray, heads: np.ndarray, s: int, t: int, size: int):
+    """Max s-t flow over unit arcs on nodes ``range(size)``: the flow value and
+    the flow matrix (units on each arc, negated on its reverse).
 
-    Returns the flow value and the units sent on each arc that carries any.
     Runs scipy's Edmonds-Karp. The method is fixed because the augmenting
     order decides which maximum flow, and so which matching, comes back.
     """
-    import numpy as np
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
 
-    arcs = np.array(
-        [(u, v, cap) for u, row in capacity.items() for v, cap in row.items() if cap > 0],
-        dtype=np.int32,
-    ).reshape(-1, 3)
-    size = 1 + max(s, t, int(arcs[:, :2].max(initial=0)))
-    graph = csr_array((arcs[:, 2], (arcs[:, 0], arcs[:, 1])), shape=(size, size))
+    units = np.ones(len(tails), dtype=np.int32)  # duplicate entries are summed
+    graph = csr_array((units, (tails, heads)), shape=(size, size))
     result = maximum_flow(graph, s, t, method="edmonds_karp")
-    flow = result.flow.tocoo()
-    sent: dict[int, dict[int, int]] = {}
-    for u, v, units in zip(flow.row.tolist(), flow.col.tolist(), flow.data.tolist()):
-        if units > 0:
-            sent.setdefault(u, {})[v] = units
-    return int(result.flow_value), sent
-
-
-def static_unit_capacities(net: HybridNetwork) -> dict[int, dict[int, int]]:
-    """Unit counts per directed static pair (parallel copies add up)."""
-    caps: dict[int, dict[int, int]] = {}
-    for link in net.static_links:
-        caps.setdefault(link.u, {})[link.v] = caps.get(link.u, {}).get(link.v, 0) + 1
-        caps.setdefault(link.v, {})[link.u] = caps.get(link.v, {}).get(link.u, 0) + 1
-    return caps
+    return int(result.flow_value), result.flow
 
 
 def max_flow_with_matching(net: HybridNetwork, s: NodeId, t: NodeId) -> tuple[int, Matching]:
@@ -58,38 +41,25 @@ def max_flow_with_matching(net: HybridNetwork, s: NodeId, t: NodeId) -> tuple[in
     remain leaves a set of used pairs that is a matching.
     """
     n = net.n
-    send = lambda u: n + 2 * u  # noqa: E731 - local index helpers
-    recv = lambda u: n + 2 * u + 1  # noqa: E731
+    nodes = np.arange(n)
+    send, recv = n + 2 * nodes, n + 2 * nodes + 1
+    a, b = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair a != b
+    ends = [(link.u, link.v) for link in net.static_links]
+    u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T  # a unit each way per static link
 
-    capacity = static_unit_capacities(net)
-    for u in range(n):
-        capacity.setdefault(u, {})[send(u)] = 1
-        capacity.setdefault(recv(u), {})[u] = 1
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                capacity.setdefault(send(u), {})[recv(v)] = 1
-
-    value, used = edmonds_karp(capacity, s, t)
-
-    # Virtual usage: ordered pairs (u, v) whose port arc carries one unit.
-    usage: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(n):
-            if u != v and used.get(send(u), {}).get(recv(v), 0) > 0:
-                usage.add((u, v))
-
+    value, flow = _max_flow(
+        np.concatenate([u, v, nodes, recv, send[a]]),
+        np.concatenate([v, u, send, nodes, recv[b]]),
+        s, t, 3 * n,
+    )
+    used = flow[send[a], recv[b]] > 0  # ordered pairs whose port arc carries a unit
+    usage = set(zip(a[used].tolist(), b[used].tolist()))
     _merge_conflicts(usage)
-
-    pairs = {tuple(sorted(p)) for p in usage}
-    matching = Matching(pairs)
+    matching = Matching({tuple(sorted(p)) for p in usage})
 
     # The splice argument guarantees the same flow value on the real network.
-    check = dict(static_unit_capacities(net))
-    for i, j in matching.pairs:
-        check.setdefault(i, {})[j] = check.get(i, {}).get(j, 0) + 1
-        check.setdefault(j, {})[i] = check.get(j, {}).get(i, 0) + 1
-    realized, _ = edmonds_karp(check, s, t)
+    i, j = np.array(matching.pairs, dtype=np.intp).reshape(-1, 2).T
+    realized, _ = _max_flow(np.concatenate([u, v, i, j]), np.concatenate([v, u, j, i]), s, t, n)
     if realized != value:
         raise AssertionError(
             f"matching extraction lost flow: auxiliary {value}, realized {realized}"
@@ -98,7 +68,7 @@ def max_flow_with_matching(net: HybridNetwork, s: NodeId, t: NodeId) -> tuple[in
 
 
 def _merge_conflicts(usage: set[tuple[int, int]]) -> None:
-    """Splice (x, u) + (u, y) into (x, y) until the used pairs form a matching."""
+    """Splice (w, u) + (u, v) into (w, v) until the used pairs form a matching."""
     changed = True
     while changed:
         changed = False
@@ -111,7 +81,6 @@ def _merge_conflicts(usage: set[tuple[int, int]]) -> None:
                 continue
             usage.discard((w, u))
             usage.discard((u, v))
-            if w != v:
-                usage.add((w, v))
+            usage.add((w, v))
             changed = True
             break

@@ -135,12 +135,7 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     if demands.is_empty:
         report = congestion_of(net, Matching(), Flow())
         return RoundedSolution(Matching(), Flow(), 0.0, 0.0, report)
-    klass = classify_demands(demands)
-    if klass.structure not in (
-        DemandStructure.SINGLE_SOURCE,
-        DemandStructure.SINGLE_DESTINATION,
-        DemandStructure.SINGLE_COMMODITY,
-    ):
+    if classify_demands(demands).structure is DemandStructure.MULTI:
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
     candidates = [Matching()] + [Matching([pair]) for pair in demands.positive_pairs()]

@@ -76,8 +76,8 @@ class WorkloadConfig:
             raise InvalidDegreeError(f"no {self.k}-regular graph on {self.n} nodes")
         if self.trace_path is None and (self.rate <= 0 or self.duration <= 0):
             raise ValueError("rate and duration must be positive")
-        if self.default_capacity <= 0:
-            raise ValueError("default capacity must be positive")
+        if not 0 < self.default_capacity < np.inf:  # a nan fails too
+            raise ValueError("default capacity must be positive and finite")
 
 
 def gen_k_regular(n: int, k: int, seed: int, capacity: float = 1.0) -> HybridNetwork:

@@ -63,6 +63,55 @@ def test_generate_missing_trace_is_io_error(tmp_path) -> None:
     assert code == EXIT_IO
 
 
+TRACE_ROWS = "10,20,1.5\n20,30,2\n30,40,1\n40,50,3\n50,60,1\n60,10,2\n"
+
+
+@pytest.mark.parametrize(
+    "args, trace, digest",
+    [
+        (["--degree", "4", "--seed", "1", "--capacity", "2"], None, "35ea57af284c1b7a"),
+        (["--degree", "3", "--seed", "2"], TRACE_ROWS, "ee508546a76da3c1"),
+    ],
+    ids=["sampled", "trace"],
+)
+def test_generate_instance_hash_is_pinned(tmp_path, capsys, args, trace, digest) -> None:
+    extra = []
+    if trace is not None:
+        (tmp_path / "trace.csv").write_text("i,j,demand\n" + trace)
+        extra = ["--trace", str(tmp_path / "trace.csv")]
+    topo, dem = tmp_path / "topology.txt", tmp_path / "demands.csv"
+    code = main(
+        ["generate", "--nodes", "6", *args, *extra,
+         "--out-topology", str(topo), "--out-demands", str(dem)]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"instance hash: {digest}"
+
+
+def _refused_generate(tmp_path, capsys, extra) -> str:
+    """Run ``generate`` on 6 nodes; it must exit 2 and write no file."""
+    topo, dem = tmp_path / "topology.txt", tmp_path / "demands.csv"
+    code = main(
+        ["generate", "--nodes", "6", *extra, "--out-topology", str(topo), "--out-demands", str(dem)]
+    )
+    assert code == EXIT_USAGE
+    assert not topo.exists() and not dem.exists()
+    return capsys.readouterr().err
+
+
+def test_generate_refuses_a_trace_with_more_nodes_than_the_topology(tmp_path, capsys) -> None:
+    trace = tmp_path / "trace.csv"
+    trace.write_text("i,j,demand\n" + TRACE_ROWS + "60,70,1\n")  # seven distinct ids
+    err = _refused_generate(tmp_path, capsys, ["--degree", "3", "--trace", str(trace)])
+    assert "outside the generated topology" in err
+
+
+@pytest.mark.parametrize("capacity", ["-1", "0", "inf", "nan"])
+def test_generate_refuses_a_capacity_that_solve_would_refuse(tmp_path, capsys, capacity) -> None:
+    err = _refused_generate(tmp_path, capsys, ["--degree", "4", "--capacity", capacity])
+    assert "capacity must be positive and finite" in err and "Traceback" not in err
+
+
 def test_solve_mc_reports_bound_and_matching(tmp_path, capsys) -> None:
     code, topo, dem, _ = _generate(tmp_path, capsys)
     code = main(
@@ -343,6 +392,8 @@ PLAN = {"node_counts": [8], "k_values": [3], "algorithms": ["greedy"], "rate": 6
         ({**PLAN, "repetitions": True}, [], "'repetitions'"),
         ({**PLAN, "size_distribution": [[1.0]]}, [], "'size_distribution'"),
         ({**PLAN, "node_counts": []}, [], "no records to summarize"),
+        ({**PLAN, "eval": {"routing": "us", "seed": 5}}, [], "'eval.seed'"),
+        ({**PLAN, "us_trials": 2}, [], "'us_trials'"),
     ],
 )
 def test_experiment_plan_with_wrong_types_is_usage_error(

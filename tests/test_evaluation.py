@@ -22,7 +22,7 @@ from reconfnet.evaluation import (
     route_matching,
     solve_single_commodity_uniform,
 )
-from reconfnet.maxflow import max_flow_with_matching
+from reconfnet.maxflow import _merge_conflicts, max_flow_with_matching
 from reconfnet.model import DemandMatrix, HybridNetwork, Matching
 from reconfnet.segregated import solve_ss
 
@@ -191,13 +191,47 @@ def test_matching_search_chains_through_intermediate_components() -> None:
     assert report.max_load == pytest.approx(1.0, abs=1e-9)
 
 
+def _nodes_of(usage) -> list[int]:
+    return [node for pair in {tuple(sorted(p)) for p in usage} for node in pair]
+
+
+def test_merge_conflicts_splices_a_chain_into_one_pair() -> None:
+    usage = {(0, 1), (1, 2), (2, 3)}
+    _merge_conflicts(usage)
+    assert usage == {(0, 3)}
+    assert len(_nodes_of(usage)) == len(set(_nodes_of(usage)))
+
+
+def test_merge_conflicts_keeps_a_two_way_pair_as_one_pair() -> None:
+    usage = {(0, 1), (1, 0), (2, 3)}
+    _merge_conflicts(usage)
+    assert usage == {(0, 1), (1, 0), (2, 3)}
+    assert {tuple(sorted(p)) for p in usage} == {(0, 1), (2, 3)}
+    assert len(_nodes_of(usage)) == len(set(_nodes_of(usage)))
+
+
+@pytest.mark.parametrize(
+    "static",
+    [
+        [(0, 1, 1, 1), (0, 1, 1, 1), (1, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1)],
+        [],
+    ],
+    ids=["parallel-copies", "no-static-links"],
+)
+@pytest.mark.parametrize("s, t", [(0, 2), (0, 4), (4, 1)])
+def test_single_commodity_uniform_matches_sn_oracle(static, s, t) -> None:
+    net = HybridNetwork.build(5, static=static, reconf_default=1.0)
+    demands = DemandMatrix({(s, t): 3})
+    _, report = solve_single_commodity_uniform(net, demands)
+    _, oracle = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN))
+    assert report.max_load == pytest.approx(oracle.max_load, abs=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_single_commodity_uniform_matches_oracle(seed) -> None:
     net, demands = single_commodity_uniform_instance(seed, n_max=6)
     matching, report = solve_single_commodity_uniform(net, demands)
-    _oracle_matching, oracle = brute_force_opt(
-        net, demands, EvalSpec(routing=RoutingModel.SN), node_limit=6
-    )
+    _oracle_matching, oracle = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN))
     assert report.max_load == pytest.approx(oracle.max_load, abs=1e-7)
 
 
@@ -219,7 +253,7 @@ def test_brute_force_rejects_large_instances() -> None:
 def test_brute_force_ss_agrees_with_independent_oracle(seed) -> None:
     net, demands = random_instance(seed, n_max=6)
     _, oracle = exhaustive_ss_opt(net, demands)
-    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SS), node_limit=6)
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SS))
     if math.isinf(oracle):
         assert math.isinf(report.max_load)
     else:
@@ -229,7 +263,7 @@ def test_brute_force_ss_agrees_with_independent_oracle(seed) -> None:
 @pytest.mark.parametrize("seed", range(10))
 def test_brute_force_dominates_heuristics(seed) -> None:
     net, demands = random_instance(seed, n_max=7)
-    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SS), node_limit=7)
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SS))
     result = solve_ss(net, demands)
     assert report.max_load <= result.max_load + 1e-7
     for matching in list(enumerate_matchings(demands.positive_pairs()))[:6]:
@@ -286,7 +320,7 @@ def test_brute_force_sn_pruning_keeps_the_optimum(seed) -> None:
         path_lp_congestion(list(net.static_arcs()) + list(matching.arcs(net)), demands)
         for matching in enumerate_matchings([(l.u, l.v) for l in net.reconf_links])
     ]
-    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN), node_limit=6)
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN))
     assert report.max_load == pytest.approx(min(every), abs=1e-7)
 
 
@@ -301,5 +335,5 @@ def test_brute_force_un_pruning_keeps_the_optimum(seed) -> None:
         )
         for matching in enumerate_matchings([(l.u, l.v) for l in net.reconf_links])
     ]
-    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.UN), node_limit=6)
+    _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.UN))
     assert report.max_load == pytest.approx(min(every), abs=1e-9)

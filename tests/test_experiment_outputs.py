@@ -30,8 +30,7 @@ PLANS = {
         **BASE,
         "node_counts": [8, 10],
         "algorithms": ALL,
-        "eval": {"routing": "us", "trials": 2, "seed": 5},
-        "us_trials": 2,
+        "eval": {"routing": "us", "trials": 2},
         "size_distribution": [[1.0, 0.5], [4.0, 0.5]],
     },
     "un": {**BASE, "algorithms": ["greedy", "mwm", "oblivious", "lp"], "eval": {"routing": "un"}},

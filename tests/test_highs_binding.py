@@ -124,3 +124,16 @@ def test_warm_resolve_checks_the_vector_against_the_current_matrix() -> None:
     lp.matrix = scipy.sparse.coo_array(np.array([[0.5, 1.0]]))
     with pytest.raises(NumericalFailureError, match="primal residual"):
         solve_simplex(lp)
+
+
+def test_unbounded_program_is_a_numerical_failure_naming_the_status() -> None:
+    # min -x0 s.t. x0 - x1 >= 0: no program the toolkit builds can be unbounded
+    lp = LinearProgram(
+        matrix=scipy.sparse.coo_array(np.array([[1.0, -1.0]])),
+        row_lower=np.array([0.0]),
+        row_upper=np.array([np.inf]),
+        col_upper=np.full(2, np.inf),
+        cost=np.array([-1.0, 0.0]),
+    )
+    with pytest.raises(NumericalFailureError, match="Unbounded"):
+        solve_simplex(lp)
