@@ -220,7 +220,7 @@ def _cmd_solve(args) -> int:
 
 def _solve_exact(net, demands, spec: EvalSpec):
     """Route to a tractable exact solver, or the toy-scale oracle, or refuse."""
-    structure = classify_demands(demands).structure
+    structure = classify_demands(demands)
     if spec.routing is RoutingModel.SS and structure is not DemandStructure.MULTI:
         result = solve_single_source_ss(net, demands)
         return result.matching, result.report

@@ -72,8 +72,9 @@ class EvalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.path_limit is not None and self.path_limit < 1:
-            raise ValueError("path_limit must be at least 1 when finite")
+        for name, value in (("path_limit", self.path_limit), ("trials", self.trials)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1 when given")
 
 
 def default_trials(net: HybridNetwork) -> int:
@@ -192,7 +193,7 @@ def _best_rounding(menus: Iterable[list[FlowPath]], trials: int, seed: int) -> I
     flat = np.concatenate(cdfs)
     owner = np.repeat(np.arange(len(cdfs)), sizes)  # the menu of each entry
     starts = np.cumsum(sizes) - sizes  # the first entry of each menu
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         u = rng.random(len(cdfs))
         yield np.add.reduceat(flat <= u[owner], starts, dtype=np.intp).tolist()
 
@@ -302,7 +303,7 @@ def solve_single_commodity_uniform(
     """
     if demands.is_empty:
         return Matching(), congestion_of(net, Matching(), Flow())
-    if not demands.is_single_commodity:
+    if len(demands.commodities()) != 1:
         raise NotSingleCommodityError("expected exactly one commodity")
     capacity = _uniform_capacity(net)
     ((s, t),) = demands.commodities()

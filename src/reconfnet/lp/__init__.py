@@ -6,9 +6,9 @@ from .builder import (
     build_mcmf_lp,
     build_mcrn_lp,
     solve_lp,
+    write_lp,
 )
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
-from .dump import write_lp
 from .linprog import LinearProgram, LpStatus, SimplexResult, solve_simplex
 
 __all__ = [

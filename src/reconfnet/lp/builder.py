@@ -36,7 +36,7 @@ from ..errors import NumericalFailureError
 from ..model import ArcIds, DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
 from ..paths import k_shortest_paths
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
-from .linprog import LinearProgram, LpStatus, solve_simplex
+from .linprog import LinearProgram, LpStatus, solve_simplex, write_model
 
 DEGREE_TOL = 1e-9
 
@@ -275,6 +275,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(
         LpStatus.OPTIMAL, result.objective * scale, z, flows, problem, result.iterations
     )
+
+
+def write_lp(problem: LpProblem, path) -> None:
+    """Write the LP as a HiGHS LP file: rows ``flow_0``, ``cap_3``, ...; columns
+    ``lam``, ``f_<source>__<kind><copy>_<tail>_<head>`` and ``z_<i>_<j>``."""
+    rows = [f"{block}_{i}" for block, span in problem.row_blocks.items() for i in range(len(span))]
+    arcs = [f"{a.kind.value}{a.copy}_{a.tail}_{a.head}" for a in problem.arcs]
+    flows = [f"f_{source}__{arc}" for source in problem.sources for arc in arcs]
+    z = [f"z_{i}_{j}" for i, j in problem.z_pairs]
+    write_model(problem.lp, path, rows, ["lam", *flows, *z])
 
 
 def _check_degree(problem: LpProblem, x: np.ndarray) -> None:

@@ -14,6 +14,8 @@ call than the dual simplex does on the toolkit's smallest LPs.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
@@ -121,6 +123,21 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         return SimplexResult(LpStatus.INFEASIBLE, float("nan"), np.zeros(lp.num_vars), iterations)
     status = highs.modelStatusToString(model_status)
     raise NumericalFailureError(f"HiGHS stopped with status {status}")
+
+
+def write_model(lp: LinearProgram, path, row_names: list[str], col_names: list[str]) -> None:
+    """Write ``lp`` to ``path`` as a HiGHS LP file, rows and columns named as given."""
+    core = _binding()
+    highs = _load(core, lp).highs
+    for r, name in enumerate(row_names):
+        highs.passRowName(r, name)
+    for c, name in enumerate(col_names):
+        highs.passColName(c, name)
+    # HiGHS picks the format by extension and crashes on a file it cannot open
+    with tempfile.TemporaryDirectory() as scratch:
+        if highs.writeModel(f"{scratch}/model.lp") == core.HighsStatus.kError:
+            raise OSError(f"HiGHS could not write the LP file {path}")
+        shutil.copyfile(f"{scratch}/model.lp", path)
 
 
 def _check_residual(lp: LinearProgram, x: np.ndarray) -> None:

@@ -28,7 +28,6 @@ from .errors import (
 NodeId = int
 
 ABS_TOL = 1e-9
-REL_TOL = 1e-7
 
 
 class LinkKind(Enum):
@@ -245,12 +244,6 @@ class DemandStructure(Enum):
     SINGLE_COMMODITY = "single_commodity"
 
 
-@dataclass(frozen=True)
-class DemandClassification:
-    structure: DemandStructure
-    uniform: bool
-
-
 class DemandMatrix:
     """Finite nonnegative demand per ordered node pair; zero entries are
     dropped."""
@@ -267,6 +260,10 @@ class DemandMatrix:
             if d > 0:
                 cleaned[(i, j)] = float(d)
         self._entries = dict(sorted(cleaned.items()))
+        try:
+            self._total = math.fsum(cleaned.values())
+        except OverflowError:
+            raise InvalidDemandError("the demands sum past the largest float") from None
 
     def get(self, i: NodeId, j: NodeId) -> float:
         return self._entries.get((i, j), 0.0)
@@ -287,7 +284,7 @@ class DemandMatrix:
         return self.get(i, j) + self.get(j, i)
 
     def total(self) -> float:
-        return math.fsum(self._entries.values())
+        return self._total
 
     def max_demand(self) -> float:
         return max(self._entries.values(), default=0.0)
@@ -302,28 +299,6 @@ class DemandMatrix:
     def is_empty(self) -> bool:
         return not self._entries
 
-    @property
-    def is_uniform(self) -> bool:
-        values = list(self._entries.values())
-        if not values:
-            return True
-        first = values[0]
-        return all(math.isclose(v, first, rel_tol=REL_TOL, abs_tol=ABS_TOL) for v in values)
-
-    @property
-    def is_single_source(self) -> bool:
-        sources = {i for (i, _) in self._entries}
-        return len(sources) == 1
-
-    @property
-    def is_single_destination(self) -> bool:
-        dests = {j for (_, j) in self._entries}
-        return len(dests) == 1
-
-    @property
-    def is_single_commodity(self) -> bool:
-        return len(self._entries) == 1
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DemandMatrix) and self._entries == other._entries
 
@@ -331,17 +306,16 @@ class DemandMatrix:
         return f"DemandMatrix({self._entries})"
 
 
-def classify_demands(demands: DemandMatrix) -> DemandClassification:
-    """Structural classification used to route instances to exact solvers."""
-    if demands.is_single_commodity:
-        structure = DemandStructure.SINGLE_COMMODITY
-    elif demands.is_single_source and not demands.is_empty:
-        structure = DemandStructure.SINGLE_SOURCE
-    elif demands.is_single_destination and not demands.is_empty:
-        structure = DemandStructure.SINGLE_DESTINATION
-    else:
-        structure = DemandStructure.MULTI
-    return DemandClassification(structure=structure, uniform=demands.is_uniform)
+def classify_demands(demands: DemandMatrix) -> DemandStructure:
+    """The shape of the demand set, which picks the exact solver (none: MULTI)."""
+    commodities = demands.commodities()
+    if len(commodities) == 1:
+        return DemandStructure.SINGLE_COMMODITY
+    if len({i for i, _ in commodities}) == 1:
+        return DemandStructure.SINGLE_SOURCE
+    if len({j for _, j in commodities}) == 1:
+        return DemandStructure.SINGLE_DESTINATION
+    return DemandStructure.MULTI
 
 
 class Matching:

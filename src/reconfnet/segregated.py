@@ -135,7 +135,7 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     if demands.is_empty:
         report = congestion_of(net, Matching(), Flow())
         return RoundedSolution(Matching(), Flow(), 0.0, 0.0, report)
-    if classify_demands(demands).structure is DemandStructure.MULTI:
+    if classify_demands(demands) is DemandStructure.MULTI:
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
     candidates = [Matching()] + [Matching([pair]) for pair in demands.positive_pairs()]

@@ -74,10 +74,9 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.n * self.k % 2 != 0 or self.k >= self.n or self.k < 1:
             raise InvalidDegreeError(f"no {self.k}-regular graph on {self.n} nodes")
-        if self.trace_path is None and (self.rate <= 0 or self.duration <= 0):
-            raise ValueError("rate and duration must be positive")
-        if not 0 < self.default_capacity < np.inf:  # a nan fails too
-            raise ValueError("default capacity must be positive and finite")
+        if self.trace_path is None:
+            _require_positive(rate=self.rate, duration=self.duration)
+        _require_positive(default_capacity=self.default_capacity)
 
 
 def gen_k_regular(n: int, k: int, seed: int, capacity: float = 1.0) -> HybridNetwork:
@@ -149,6 +148,12 @@ def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < np.inf:  # a nan fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def sample_flow_events(
     n: int,
     rate: float,
@@ -177,8 +182,7 @@ def gen_pfabric_demands(
     seed: int = 0,
 ) -> DemandMatrix:
     """Aggregate synthetic Poisson flow arrivals into a demand matrix."""
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
+    _require_positive(rate=rate, duration=duration)
     dist = size_distribution or SizeDistribution.default()
     entries: dict[tuple[int, int], float] = {}
     for i, j, size in sample_flow_events(n, rate, duration, dist, seed):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from reconfnet.lp import solve_lp
 from reconfnet.model import DemandMatrix, HybridNetwork
 from reconfnet.workloads import gen_k_regular
 
@@ -78,3 +79,22 @@ def single_commodity_uniform_instance(seed: int, n_max: int = 8):
     if t >= s:
         t += 1
     return net, DemandMatrix({(s, t): float(rng.integers(1, 10))})
+
+
+def assert_lp_file_round_trips(path, problem) -> None:
+    """HiGHS's ``readModel`` reads an LP file that ``write_lp`` wrote for
+    ``problem`` back with the same shape and column names, and re-solves it
+    to the relaxation's objective on the LP's unit demand scale."""
+    from scipy.optimize._highspy import _core
+
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == _core.HighsStatus.kOk
+    assert (highs.getNumRow(), highs.getNumCol()) == problem.lp.matrix.shape
+    # HiGHS numbers the columns it reads in order of first appearance
+    names = {highs.getColName(c)[1] for c in range(highs.getNumCol())}
+    assert "lam" in names
+    assert {n for n in names if n.startswith("z_")} == {f"z_{i}_{j}" for i, j in problem.z_pairs}
+    highs.run()
+    expected = solve_lp(problem).objective / problem.demand_scale
+    assert highs.getInfo().objective_function_value == pytest.approx(expected, rel=0, abs=1e-9)

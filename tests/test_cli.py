@@ -7,8 +7,11 @@ import json
 import pytest
 
 from reconfnet.cli import EXIT_CAPABILITY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from reconfnet.lp import build_mcrn_lp
 from reconfnet.model import read_topology
 from reconfnet.workloads import load_trace
+
+from .conftest import assert_lp_file_round_trips
 
 
 def _generate(tmp_path, capsys, extra=()):
@@ -112,6 +115,45 @@ def test_generate_refuses_a_capacity_that_solve_would_refuse(tmp_path, capsys, c
     assert "capacity must be positive and finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--rate", "nan"), ("--rate", "inf"), ("--duration", "inf"), ("--duration", "nan")],
+)
+def test_generate_refuses_a_rate_or_duration_that_is_not_finite(
+    tmp_path, capsys, option, value
+) -> None:
+    err = _refused_generate(tmp_path, capsys, ["--degree", "3", option, value])
+    assert f"{option[2:]} must be positive and finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo, trials", [("mc", "0"), ("oblivious", "-1")], ids=["mc", "oblivious"])
+def test_solve_refuses_fewer_than_one_trial(tmp_path, capsys, algo, trials) -> None:
+    code, topo, dem, _ = _generate(tmp_path, capsys)
+    code = main(
+        [
+            "solve",
+            "--topology", str(topo),
+            "--demands", str(dem),
+            "--routing", "us",
+            "--algo", algo,
+            "--trials", trials,
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_solve_refuses_demands_whose_sum_overflows(tmp_path, capsys) -> None:
+    code, topo, dem, _ = _generate(tmp_path, capsys)
+    dem.write_text("i,j,demand\n0,1,1e308\n1,2,1e308\n2,3,1e308\n")
+    code = main(
+        ["solve", "--topology", str(topo), "--demands", str(dem), "--routing", "ss", "--algo", "mc"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "sum past the largest float" in err and "Traceback" not in err
+
+
 def test_solve_mc_reports_bound_and_matching(tmp_path, capsys) -> None:
     code, topo, dem, _ = _generate(tmp_path, capsys)
     code = main(
@@ -192,9 +234,10 @@ def test_solve_exact_single_source_tractable(tmp_path, capsys) -> None:
     assert "congestion:" in capsys.readouterr().out
 
 
-def test_solve_dump_lp_writes_file(tmp_path, capsys) -> None:
+def _solve_dump_lp(tmp_path, capsys, dump):
+    """``solve --dump-lp dump`` on a generated instance: the exit code, and
+    the relaxation built from the same files."""
     code, topo, dem, _ = _generate(tmp_path, capsys)
-    dump = tmp_path / "problem.lp"
     code = main(
         [
             "solve",
@@ -205,8 +248,31 @@ def test_solve_dump_lp_writes_file(tmp_path, capsys) -> None:
             "--dump-lp", str(dump),
         ]
     )
+    demands, _ = load_trace(dem, remap=False)
+    return code, build_mcrn_lp(read_topology(topo), demands)
+
+
+def test_solve_dump_lp_writes_file(tmp_path, capsys) -> None:
+    dump = tmp_path / "problem.lp"
+    code, problem = _solve_dump_lp(tmp_path, capsys, dump)
     assert code == EXIT_OK
-    assert dump.read_text().startswith("Minimize")
+    assert_lp_file_round_trips(dump, problem)
+
+
+def test_solve_dump_lp_is_an_lp_file_whatever_its_extension(tmp_path, capsys) -> None:
+    dump = tmp_path / "problem.txt"
+    code, problem = _solve_dump_lp(tmp_path, capsys, dump)
+    assert code == EXIT_OK
+    copy = tmp_path / "copy.lp"  # HiGHS reads by extension
+    copy.write_bytes(dump.read_bytes())
+    assert_lp_file_round_trips(copy, problem)
+
+
+@pytest.mark.parametrize("where", ["missing/problem.lp", "."], ids=["no-directory", "a-directory"])
+def test_solve_dump_lp_to_an_unwritable_path_is_io_error(tmp_path, capsys, where) -> None:
+    code, _ = _solve_dump_lp(tmp_path, capsys, tmp_path / where)
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def _write_plan(tmp_path, **overrides):

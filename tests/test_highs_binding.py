@@ -35,6 +35,9 @@ HIGHS_METHODS = (
     "getSolution",
     "changeRowBounds",
     "changeColBounds",
+    "passRowName",
+    "passColName",
+    "writeModel",
 )
 
 

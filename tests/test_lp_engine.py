@@ -22,7 +22,7 @@ from reconfnet.lp import (
 )
 from reconfnet.model import ArcIds, DemandMatrix, Flow, HybridNetwork, Matching, arc_order, pair_key
 
-from .conftest import random_instance
+from .conftest import assert_lp_file_round_trips, random_instance
 from .oracles import (
     exhaustive_ss_opt,
     path_lp_congestion,
@@ -283,8 +283,12 @@ def test_lp_dump_is_parseable_text(tmp_path, path_net) -> None:
     problem = build_mcrn_lp(path_net, DemandMatrix({(0, 2): 1}))
     out = tmp_path / "problem.lp"
     write_lp(problem, out)
-    text = out.read_text()
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    bounds = text[text.index("Bounds") :]
-    assert " 0 <= z_0_2 <= 1\n" in bounds
+    assert problem.z_pairs == ((0, 2),)
+    assert_lp_file_round_trips(out, problem)
+
+
+def test_lp_dump_of_no_demands_round_trips(tmp_path, path_net) -> None:
+    problem = build_mcrn_lp(path_net, DemandMatrix({}))
+    out = tmp_path / "problem.lp"
+    write_lp(problem, out)
+    assert_lp_file_round_trips(out, problem)

@@ -184,26 +184,26 @@ def test_congestion_capacity_contravariance() -> None:
 
 
 def test_classify_single_commodity_uniform() -> None:
-    klass = classify_demands(DemandMatrix({(1, 2): 5}))
-    assert klass.structure is DemandStructure.SINGLE_COMMODITY
-    assert klass.uniform
+    assert classify_demands(DemandMatrix({(1, 2): 5})) is DemandStructure.SINGLE_COMMODITY
 
 
 def test_classify_single_source_uniform() -> None:
     klass = classify_demands(DemandMatrix({(1, 2): 5, (1, 3): 5}))
-    assert klass.structure is DemandStructure.SINGLE_SOURCE
-    assert klass.uniform
+    assert klass is DemandStructure.SINGLE_SOURCE
 
 
 def test_classify_single_destination_nonuniform() -> None:
     klass = classify_demands(DemandMatrix({(1, 2): 5, (3, 2): 4}))
-    assert klass.structure is DemandStructure.SINGLE_DESTINATION
-    assert not klass.uniform
+    assert klass is DemandStructure.SINGLE_DESTINATION
 
 
 def test_classify_multi() -> None:
     klass = classify_demands(DemandMatrix({(1, 2): 5, (3, 4): 4}))
-    assert klass.structure is DemandStructure.MULTI
+    assert klass is DemandStructure.MULTI
+
+
+def test_classify_no_demands_is_multi() -> None:
+    assert classify_demands(DemandMatrix({})) is DemandStructure.MULTI
 
 
 def test_matching_rejects_shared_endpoint() -> None:
