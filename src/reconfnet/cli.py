@@ -16,7 +16,6 @@ from pathlib import Path
 from .baselines import greedy_matching, max_weight_matching, oblivious
 from .errors import (
     InstanceTooLargeError,
-    InvalidDegreeError,
     ReconfNetError,
     TopologyParseError,
     TraceParseError,
@@ -65,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a topology file and a demand file")
     gen.add_argument("--nodes", type=int, required=True)
     gen.add_argument("--degree", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_natural, default=0)
     gen.add_argument("--capacity", type=float, default=1.0)
     gen.add_argument("--rate", type=float, default=10.0)
     gen.add_argument("--duration", type=float, default=1.0)
@@ -80,10 +79,10 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--algo", choices=["mc", "greedy", "mwm", "oblivious", "exact"], required=True
     )
-    solve.add_argument("--path-limit", type=str, default="none",
+    solve.add_argument("--path-limit", type=_parse_path_limit, default="none",
                        help="positive integer or 'none' for unrestricted")
     solve.add_argument("--trials", type=int, default=None)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_natural, default=0)
     solve.add_argument("--default-reconf-capacity", type=float, default=1.0)
     solve.add_argument("--out-matching", type=str, default=None)
     solve.add_argument("--dump-lp", type=str, default=None)
@@ -92,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a full plan from a JSON config")
     exp.add_argument("--plan", type=str, required=True)
     exp.add_argument("--out-dir", type=str, default=".")
-    exp.add_argument("--seed", type=int, default=None, help="override the plan's base seed")
+    exp.add_argument("--seed", type=_natural, default=None, help="override the plan's base seed")
     exp.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     exp.add_argument("--jsonl", action="store_true")
 
@@ -110,9 +109,6 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_experiment(args)
-    except InvalidDegreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TraceParseError, TopologyParseError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -137,13 +133,15 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _natural(raw: str, least: int = 0) -> int:
+    """``raw`` as an integer of at least ``least``, or argparse's usage error."""
+    if not raw.isdecimal() or int(raw) < least:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {raw!r}")
+    return int(raw)
+
+
 def _parse_path_limit(raw: str) -> int | None:
-    if raw.lower() in ("none", "inf", "unlimited"):
-        return None
-    value = int(raw)
-    if value < 1:
-        raise ValueError("path limit must be positive")
-    return value
+    return None if raw.lower() in ("none", "inf", "unlimited") else _natural(raw, least=1)
 
 
 def _cmd_solve(args) -> int:
@@ -153,7 +151,7 @@ def _cmd_solve(args) -> int:
     routing = RoutingModel(args.routing)
     spec = EvalSpec(
         routing=routing,
-        path_limit=_parse_path_limit(args.path_limit),
+        path_limit=args.path_limit,
         trials=args.trials,
         seed=args.seed,
     )

@@ -23,101 +23,78 @@ def decompose_commodity(
     noise: float = 0.0,
 ) -> tuple[list[FlowPath], list[tuple[tuple[DirectedLink, ...], float]], list[FlowPath]]:
     """Split one source's arc flows, keyed by id in ``arcs``, into paths,
-    cycles and crumbs over the arcs themselves.
+    cycles and crumbs over the arcs themselves, in one kind of walk.
 
-    Cycles are cancelled first (the LP bounds only the net inflow of each
-    node, so circulations may pass through any node); the remainder is a
-    directed acyclic flow in which every node but the source keeps its
-    excess, its net inflow.  Each walk leaves the source along the first
-    positive arc in ``arc_order`` and stops at the first node v with
-    positive excess; peeling the smaller of its bottleneck and that excess
+    Each node's excess, its net inflow, is fixed before any walk.  A walk
+    leaves its start along the first positive arc in ``arc_order`` and stops
+    at the first of: a node v with positive excess, when it started at the
+    source; a node already on the walk, whose closed cycle it cancels by its
+    bottleneck (the LP bounds only the net inflow of each node, so
+    circulations may pass through any node); a dead end, whose smallest arc
+    it drops.  At v, peeling the smaller of the bottleneck and v's excess
     yields the path ``((source, v), arcs, amount)`` and zeroes an arc or an
-    excess.  A conserved commodity flow therefore yields paths to its sink
-    only.  A path of at most ``noise`` (the LP solver's absolute feasibility
-    slack, which rides on the whole problem's demand scale), or of at most
-    1e-7 of the largest arc flow, is a numerical crumb and is returned apart
-    from the paths.  A tiny leftover that reaches no sink is dropped; a
-    substantial imbalance still raises.
+    excess, so a conserved commodity flow yields paths to its sink only.  A
+    path of at most ``noise`` (the LP solver's absolute feasibility slack,
+    which rides on the whole problem's demand scale), or of at most 1e-7 of
+    the largest arc flow, is a numerical crumb and is returned apart from the
+    paths.  Once the source has no arc left, the walk runs from each other
+    tail in node order: it cancels the cycles the source never reached and
+    drops the tiny leftovers that reach no sink.  Dropping an arc above the
+    crumb size raises.
     """
     tails, heads, ranks = arcs.ends
     magnitude = max(links.values(), default=0.0)
     eps = _EPS * max(1.0, magnitude)
     crumb = max(_CRUMB * max(1.0, magnitude), noise)
     residual = {a: v for a, v in links.items() if v > eps}
-    adjacent: dict[NodeId, list[int]] = {}
-    for a in sorted(residual, key=ranks.__getitem__):
+    excess: dict[NodeId, float] = {}
+    for a, value in residual.items():
+        excess[heads[a]] = excess.get(heads[a], 0.0) + value
+        excess[tails[a]] = excess.get(tails[a], 0.0) - value
+    adjacent: dict[NodeId, list[int]] = {}  # each tail's arcs, the next one last
+    for a in sorted(residual, key=ranks.__getitem__, reverse=True):
         adjacent.setdefault(tails[a], []).append(a)
     paths: list[FlowPath] = []
     cycles: list[tuple[tuple[DirectedLink, ...], float]] = []
     crumbs: list[FlowPath] = []
 
-    def out_arcs(node: NodeId) -> list[int]:
-        return [a for a in adjacent.get(node, ()) if a in residual]
+    def next_arc(node: NodeId) -> int | None:
+        out = adjacent.get(node, [])
+        while out and out[-1] not in residual:
+            out.pop()
+        return out[-1] if out else None
 
-    while (cycle := _find_cycle(residual, tails, heads, out_arcs)) is not None:
-        amount = min(residual[a] for a in cycle)
-        _subtract(residual, cycle, amount, eps)
-        cycles.append((tuple(arcs.arcs[a] for a in cycle), amount))
-
-    excess: dict[NodeId, float] = {}
-    for a, value in residual.items():
-        excess[heads[a]] = excess.get(heads[a], 0.0) + value
-        excess[tails[a]] = excess.get(tails[a], 0.0) - value
-
-    # Acyclic now: walk from the source to the first excess, peel, repeat.
-    while starts := out_arcs(source):
-        walk = [starts[0]]
-        node = heads[starts[0]]
-        while excess[node] <= eps and (nxt := out_arcs(node)):
-            walk.append(nxt[0])
-            node = heads[nxt[0]]
-        if excess[node] <= eps:
-            _drop_binding_crumb(residual, walk, crumb, source)
-            continue
-        amount = min(excess[node], min(residual[a] for a in walk))
-        _subtract(residual, walk, amount, eps)
-        excess[node] -= amount
-        path = ((source, node), tuple(arcs.arcs[a] for a in walk), amount)
-        (paths if amount > crumb else crumbs).append(path)
-
-    for a, value in sorted(residual.items(), key=lambda kv: kv[1]):
-        if value > crumb:
-            raise NonConservedFlowError(
-                f"flow from source {source} leaves residual {value:.3e} on {arcs.arcs[a]!r}"
-            )
-    return paths, cycles, crumbs
-
-
-def _find_cycle(residual, tails, heads, out_arcs):
-    """First directed cycle in deterministic DFS order, or None."""
-    done: set[NodeId] = set()  # no cycle passes through these
-    for start in sorted({tails[a] for a in residual}):
-        walk: list[int] = []  # the DFS path from start
-        at = {start: 0}  # each node on the path -> the index of its arc out
-        node = start
-        while node not in done:
-            arc = next((a for a in out_arcs(node) if heads[a] not in done), None)
-            if arc is None:
-                done.add(node)
-                del at[node]
-                node = tails[walk.pop()] if walk else node
-            elif heads[arc] in at:
-                return tuple(walk[at[heads[arc]] :]) + (arc,)
-            else:
-                at[heads[arc]] = len(walk) + 1
+    for start in [source, *sorted(adjacent)]:
+        while (arc := next_arc(start)) is not None:
+            walk, at = [arc], {start: 0}  # each node on the walk -> its arc out
+            node = heads[arc]
+            while (
+                node not in at
+                and (start != source or excess[node] <= eps)
+                and (arc := next_arc(node)) is not None
+            ):
+                at[node] = len(walk)
                 walk.append(arc)
                 node = heads[arc]
-    return None
-
-
-def _drop_binding_crumb(residual, walk, crumb, source) -> None:
-    victim = min(walk, key=lambda a: residual[a])
-    if residual[victim] > crumb:
-        raise NonConservedFlowError(
-            f"flow from source {source} dead-ends with residual "
-            f"{residual[victim]:.3e}"
-        )
-    del residual[victim]
+            if node in at:
+                cycle = walk[at[node] :]
+                amount = min(residual[a] for a in cycle)
+                _subtract(residual, cycle, amount, eps)
+                cycles.append((tuple(arcs.arcs[a] for a in cycle), amount))
+            elif start == source and excess[node] > eps:
+                amount = min(excess[node], min(residual[a] for a in walk))
+                _subtract(residual, walk, amount, eps)
+                excess[node] -= amount
+                path = ((source, node), tuple(arcs.arcs[a] for a in walk), amount)
+                (paths if amount > crumb else crumbs).append(path)
+            else:
+                victim = min(walk, key=residual.__getitem__)
+                if (value := residual.pop(victim)) > crumb:
+                    raise NonConservedFlowError(
+                        f"flow from source {source} leaves residual {value:.3e} "
+                        f"on {arcs.arcs[victim]!r}"
+                    )
+    return paths, cycles, crumbs
 
 
 def _subtract(residual, arcs, amount: float, eps: float) -> None:

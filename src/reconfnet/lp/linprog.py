@@ -189,8 +189,9 @@ def _push_bounds(held: _Held, lp: LinearProgram) -> None:
     rows = np.flatnonzero((lp.row_lower != held.row_lower) | (lp.row_upper != held.row_upper))
     for r in rows.tolist():
         held.highs.changeRowBounds(r, lp.row_lower[r], lp.row_upper[r])
-    for c in np.flatnonzero(lp.col_upper != held.col_upper).tolist():
-        held.highs.changeColBounds(c, 0.0, lp.col_upper[c])
+    cols = np.flatnonzero(lp.col_upper != held.col_upper)
+    zeros = np.zeros(len(cols))
+    held.highs.changeColsBounds(len(cols), cols.astype(np.int32), zeros, lp.col_upper[cols])
     held.row_lower[rows] = lp.row_lower[rows]
     held.row_upper[rows] = lp.row_upper[rows]
     held.col_upper[:] = lp.col_upper

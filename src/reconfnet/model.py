@@ -433,10 +433,6 @@ class CongestionReport:
     argmax_link: DirectedLink | None
     per_link_loads: dict[DirectedLink, float]
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.max_load)
-
 
 class ArcIds:
     """Arcs numbered once, with the one load rule: flow over capacity, and on

@@ -16,6 +16,7 @@ from .errors import GenerationTimeoutError, InvalidDegreeError, TraceParseError
 from .model import DemandMatrix, HybridNetwork
 
 _REJECTION_BUDGET = 10_000
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's cap
 
 # Heavy-tailed flow-size law, (size, probability).  The published workloads
 # this mimics do not pin the distribution, so the default is an explicit
@@ -75,7 +76,7 @@ class WorkloadConfig:
         if self.n * self.k % 2 != 0 or self.k >= self.n or self.k < 1:
             raise InvalidDegreeError(f"no {self.k}-regular graph on {self.n} nodes")
         if self.trace_path is None:
-            _require_positive(rate=self.rate, duration=self.duration)
+            _require_arrivals(self.rate, self.duration)
         _require_positive(default_capacity=self.default_capacity)
 
 
@@ -154,6 +155,15 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_arrivals(rate: float, duration: float) -> None:
+    """Refuse what numpy's Poisson draw would refuse, naming the options."""
+    _require_positive(rate=rate, duration=duration)
+    if rate * duration > _POISSON_LAM_MAX:
+        raise ValueError(
+            f"rate * duration must be at most {_POISSON_LAM_MAX:.6g}, got {rate * duration:.6g}"
+        )
+
+
 def sample_flow_events(
     n: int,
     rate: float,
@@ -182,7 +192,7 @@ def gen_pfabric_demands(
     seed: int = 0,
 ) -> DemandMatrix:
     """Aggregate synthetic Poisson flow arrivals into a demand matrix."""
-    _require_positive(rate=rate, duration=duration)
+    _require_arrivals(rate, duration)
     dist = size_distribution or SizeDistribution.default()
     entries: dict[tuple[int, int], float] = {}
     for i, j, size in sample_flow_events(n, rate, duration, dist, seed):

@@ -126,6 +126,35 @@ def test_generate_refuses_a_rate_or_duration_that_is_not_finite(
     assert f"{option[2:]} must be positive and finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--rate", "1e20"], ["--rate", "1e10", "--duration", "1e10"]], ids=["rate", "product"]
+)
+def test_generate_refuses_a_rate_times_duration_past_the_poisson_limit(
+    tmp_path, capsys, extra
+) -> None:
+    err = _refused_generate(tmp_path, capsys, ["--degree", "3", *extra])
+    assert "rate * duration must be at most" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["generate", "--nodes", "6", "--degree", "3", "--seed", "-5"], "--seed"),
+        (["solve", "--routing", "us", "--algo", "mc", "--seed", "-5"], "--seed"),
+        (["solve", "--routing", "us", "--algo", "mc", "--path-limit", "x"], "--path-limit"),
+        (["solve", "--routing", "ss", "--algo", "oblivious", "--path-limit", "0"], "--path-limit"),
+        (["experiment", "--plan", "plan.json", "--seed", "1.5"], "--seed"),
+    ],
+    ids=["generate-seed", "solve-seed", "path-limit-text", "path-limit-zero", "experiment-seed"],
+)
+def test_a_bad_integer_option_is_refused_by_name(capsys, argv, option) -> None:
+    if argv[0] == "solve":
+        argv = [*argv, "--topology", "topology.txt", "--demands", "demands.csv"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("algo, trials", [("mc", "0"), ("oblivious", "-1")], ids=["mc", "oblivious"])
 def test_solve_refuses_fewer_than_one_trial(tmp_path, capsys, algo, trials) -> None:
     code, topo, dem, _ = _generate(tmp_path, capsys)

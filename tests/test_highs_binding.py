@@ -34,7 +34,7 @@ HIGHS_METHODS = (
     "getInfo",
     "getSolution",
     "changeRowBounds",
-    "changeColBounds",
+    "changeColsBounds",
     "passRowName",
     "passColName",
     "writeModel",

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from reconfnet.errors import NonConservedFlowError
 from reconfnet.lp import (
     LpStatus,
     build_mcmf_lp,
@@ -205,6 +206,66 @@ def test_decompose_parallel_split() -> None:
     paths, _cycles, _crumbs = decompose_commodity(0, {0: 0.5, 1: 0.5}, ArcIds(arcs))
     assert len(paths) == 2
     assert all(amount == pytest.approx(0.5) for (_, _, amount) in paths)
+
+
+def _decompose_toy(n: int, flow: dict[tuple[int, int], float], noise: float = 0.0):
+    """Decompose ``flow``, keyed by (tail, head), from node 0 over a static
+    network of just those links, and return the result with the flow keyed
+    by arc."""
+    links = sorted({(min(u, v), max(u, v)) for u, v in flow})
+    numbered = ArcIds(HybridNetwork.build(n, [(u, v, 1, 1) for u, v in links]).static_arcs())
+    by_ends = {(a.tail, a.head): k for k, a in enumerate(numbered.arcs)}
+    ids = {by_ends[ends]: value for ends, value in flow.items()}
+    by_arc = {numbered.arcs[k]: value for k, value in ids.items()}
+    return decompose_commodity(0, ids, numbered, noise=noise), by_arc
+
+
+def _recomposed(paths, cycles, crumbs) -> dict:
+    total: dict = {}
+    for arcs, amount in [(p[1], p[2]) for p in paths + crumbs] + cycles:
+        for arc in arcs:
+            total[arc] = total.get(arc, 0.0) + amount
+    return total
+
+
+def test_decompose_cancels_a_circulation_the_source_never_reaches() -> None:
+    flow = {(0, 1): 1.0, (2, 3): 0.5, (3, 4): 0.5, (4, 2): 0.5}
+    (paths, cycles, crumbs), by_arc = _decompose_toy(5, flow)
+    assert [(p[0], p[2]) for p in paths] == [((0, 1), 1.0)] and crumbs == []
+    assert [([(a.tail, a.head) for a in arcs], amount) for arcs, amount in cycles] == [
+        ([(2, 3), (3, 4), (4, 2)], 0.5)
+    ]
+    assert _recomposed(paths, cycles, crumbs) == by_arc
+
+
+def test_decompose_cancels_a_cycle_on_the_sources_walk() -> None:
+    # at node 2 the walk takes 2->1 first (arc_order) and closes 1->2->1
+    flow = {(0, 1): 1.0, (1, 2): 1.4, (2, 1): 0.4, (2, 3): 1.0}
+    (paths, cycles, crumbs), by_arc = _decompose_toy(4, flow)
+    assert [([(a.tail, a.head) for a in arcs], amount) for arcs, amount in cycles] == [
+        ([(1, 2), (2, 1)], pytest.approx(0.4))
+    ]
+    assert len(paths) == 1 and crumbs == []
+    commodity, arcs, amount = paths[0]
+    assert commodity == (0, 3) and amount == pytest.approx(1.0)
+    assert [(a.tail, a.head) for a in arcs] == [(0, 1), (1, 2), (2, 3)]
+    assert all(amount <= by_arc[arc] for arc in arcs)
+    assert _recomposed(paths, cycles, crumbs) == pytest.approx(by_arc)
+
+
+def test_decompose_raises_on_flow_that_does_not_leave_the_source() -> None:
+    with pytest.raises(NonConservedFlowError, match="leaves residual 5.000e-01"):
+        _decompose_toy(4, {(0, 1): 1.0, (2, 3): 0.5})
+
+
+def test_decompose_drops_a_dead_end_crumb_below_the_noise() -> None:
+    # 1e-5 enters node 1 from node 4: within noise 1e-4, above 1e-7 of the flow
+    flow = {(0, 1): 1.0, (4, 1): 1e-5, (1, 2): 1.0 + 1e-5}
+    (paths, cycles, crumbs), _ = _decompose_toy(5, flow, noise=1e-4)
+    assert [(p[0], p[2]) for p in paths] == [((0, 2), 1.0)]
+    assert cycles == [] and crumbs == []
+    with pytest.raises(NonConservedFlowError):
+        _decompose_toy(5, flow)
 
 
 def _assert_recomposes(solution) -> None:
