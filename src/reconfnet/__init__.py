@@ -29,7 +29,6 @@ from .model import (
     Matching,
     classify_demands,
     congestion_of,
-    validate_network,
 )
 from .segregated import (
     RoundedSolution,
@@ -89,5 +88,4 @@ __all__ = [
     "solve_ss",
     "solve_us",
     "summarize",
-    "validate_network",
 ]

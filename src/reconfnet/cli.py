@@ -42,7 +42,6 @@ from .model import (
     Matching,
     arc_order,
     classify_demands,
-    ensure_valid,
     read_topology,
 )
 from .segregated import solve_single_source_ss, solve_ss, solve_us
@@ -92,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     exp.add_argument("--plan", type=str, required=True)
     exp.add_argument("--out-dir", type=str, default=".")
     exp.add_argument("--seed", type=_natural, default=None, help="override the plan's base seed")
-    exp.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+    exp.add_argument("--parallel", type=_positive, default=os.cpu_count() or 1)
     exp.add_argument("--jsonl", action="store_true")
 
     return parser
@@ -140,14 +139,17 @@ def _natural(raw: str, least: int = 0) -> int:
     return int(raw)
 
 
+def _positive(raw: str) -> int:
+    return _natural(raw, least=1)
+
+
 def _parse_path_limit(raw: str) -> int | None:
-    return None if raw.lower() in ("none", "inf", "unlimited") else _natural(raw, least=1)
+    return None if raw.lower() in ("none", "inf", "unlimited") else _positive(raw)
 
 
 def _cmd_solve(args) -> int:
     net = read_topology(args.topology, default_reconf_capacity=args.default_reconf_capacity)
     demands, _summary = load_trace(args.demands, remap=False)
-    ensure_valid(net, demands)
     routing = RoutingModel(args.routing)
     spec = EvalSpec(
         routing=routing,
@@ -243,7 +245,7 @@ def _cmd_experiment(args) -> int:
         raise FileNotFoundError(f"trace file not found: {plan.trace_path}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = run_plan(plan, workers=max(args.parallel, 1))
+    records = run_plan(plan, workers=args.parallel)
     write_records(records, out_dir / "records.csv")
     write_records(summarize(records), out_dir / "summary.csv", SummaryRow)
     if args.jsonl:

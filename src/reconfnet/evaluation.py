@@ -32,6 +32,7 @@ from .model import (
     Matching,
     NodeId,
     arc_order,
+    check_endpoints,
     congestion_of,
     infinite_congestion,
     pair_key,
@@ -254,6 +255,7 @@ def route_matching(
     spec: EvalSpec,
 ) -> Flow | None:
     """The flow realizing eval_matching, or None when no routing exists."""
+    check_endpoints(net, demands)
     fixed, residual, arcs = _residual_problem(net, demands, matching, spec.routing.segregated)
 
     if residual.is_empty:
@@ -301,6 +303,7 @@ def solve_single_commodity_uniform(
     search runs as one integral max-flow over an auxiliary port graph whose
     optimum provably equals the optimum over matchings.
     """
+    check_endpoints(net, demands)
     if demands.is_empty:
         return Matching(), congestion_of(net, Matching(), Flow())
     if len(demands.commodities()) != 1:
@@ -355,6 +358,7 @@ def brute_force_opt(
     exhaustively, bounded by a path-count budget.  Networks of more than
     ``ORACLE_NODE_LIMIT`` nodes are refused.
     """
+    check_endpoints(net, demands)
     if net.n > ORACLE_NODE_LIMIT:
         raise InstanceTooLargeError(
             f"exact solving for routing model '{spec.routing.value}' on {net.n} nodes is "

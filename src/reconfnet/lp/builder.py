@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import NumericalFailureError
 from ..model import ArcIds, DemandMatrix, DirectedLink, FlowPath, HybridNetwork, NodeId
+from ..model import check_endpoints
 from ..paths import k_shortest_paths
 from .decompose import decompose_commodity, scale_paths_to, solver_noise
 from .linprog import LinearProgram, LpStatus, solve_simplex, write_model
@@ -138,6 +139,7 @@ def _positive_arcs(arcs: Sequence[DirectedLink]) -> tuple[DirectedLink, ...]:
 def build_mcrn_lp(net: HybridNetwork, demands: DemandMatrix) -> LpProblem:
     """LP relaxation of the joint matching/routing problem (segregated):
     the four row blocks of the module docstring."""
+    check_endpoints(net, demands)
     z_caps = {}
     for i, j in demands.positive_pairs():
         caps = (net.reconf_capacity(i, j), net.reconf_capacity(j, i))

@@ -87,18 +87,6 @@ class ValidationIssue:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(i.code for i in self.issues)
-
-
 def pair_key(i: NodeId, j: NodeId) -> tuple[NodeId, NodeId]:
     """Canonical unordered pair."""
     return (i, j) if i < j else (j, i)
@@ -112,8 +100,10 @@ class HybridNetwork:
     both directions unless ``reconf_overrides`` lists it as
     ``((i, j), (cap i->j, cap j->i))``.  Construction stores the overrides as
     a sorted tuple with i < j: a key given as (j, i) has its capacities
-    swapped, and of two entries for one pair the later wins.
-    Immutable after construction; safe to share across workers.
+    swapped, and of two entries for one pair the later wins.  Construction
+    raises one ``InvalidNetworkError`` listing every structural issue, so no
+    invalid network exists.  Immutable after construction; safe to share
+    across workers.
     """
 
     n: int
@@ -126,6 +116,18 @@ class HybridNetwork:
         for (i, j), (cf, cb) in self.reconf_overrides:
             overrides[pair_key(i, j)] = (cf, cb) if i <= j else (cb, cf)
         object.__setattr__(self, "reconf_overrides", tuple(sorted(overrides.items())))
+        issues: list[ValidationIssue] = []
+        if self.n < 1:
+            issues.append(ValidationIssue("EmptyNodeSet", "need at least one node"))
+        for idx, link in enumerate(self.static_links):
+            caps = (link.cap_uv, link.cap_vu)
+            issues += _link_issues(f"static link {idx}", link.u, link.v, caps, self.n)
+        for (i, j), caps in self.reconf_overrides:
+            issues += _link_issues(f"reconfigurable pair ({i}, {j})", i, j, caps, self.n)
+        if self.uses_default():
+            issues += _capacity_issues("the default reconfigurable capacity", (self.reconf_default,))
+        if issues:
+            raise InvalidNetworkError(issues)
         object.__setattr__(self, "_override_by_pair", overrides)
         arcs = []
         for idx, link in enumerate(self.static_links):
@@ -205,33 +207,15 @@ def _link_issues(what: str, u: NodeId, v: NodeId, caps: tuple[float, ...], n: in
 
 
 def _capacity_issues(what: str, caps: tuple[float, ...]) -> list[ValidationIssue]:
-    if not all(math.isfinite(c) for c in caps):
+    if not all(map(math.isfinite, caps)):
         return [ValidationIssue("NonFiniteCapacity", f"{what} has a non-finite capacity")]
-    if any(c < 0 for c in caps):
+    if min(caps) < 0:
         return [ValidationIssue("NegativeCapacity", f"{what} has a negative capacity")]
     return []
 
 
-def validate_network(net: HybridNetwork) -> ValidationResult:
-    """Check every structural invariant; report all violations found."""
-    issues: list[ValidationIssue] = []
-    if net.n < 1:
-        issues.append(ValidationIssue("EmptyNodeSet", "need at least one node"))
-    for idx, link in enumerate(net.static_links):
-        issues += _link_issues(f"static link {idx}", link.u, link.v, (link.cap_uv, link.cap_vu), net.n)
-    for (i, j), caps in net.reconf_overrides:
-        issues += _link_issues(f"reconfigurable pair ({i}, {j})", i, j, caps, net.n)
-    if net.uses_default():
-        issues += _capacity_issues("the default reconfigurable capacity", (net.reconf_default,))
-    return ValidationResult(tuple(issues))
-
-
-def ensure_valid(net: HybridNetwork, demands: DemandMatrix) -> None:
-    """Raise unless the network is valid and every demand endpoint is one of
-    its nodes."""
-    result = validate_network(net)
-    if not result.ok:
-        raise InvalidNetworkError(result.issues)
+def check_endpoints(net: HybridNetwork, demands: DemandMatrix) -> None:
+    """Raise unless every demand endpoint is one of the network's nodes."""
     for i, j in demands.commodities():
         if not (0 <= i < net.n and 0 <= j < net.n):
             raise InvalidDemandError(f"demand ({i}, {j}) has an endpoint outside [0, {net.n})")

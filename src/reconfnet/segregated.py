@@ -24,9 +24,9 @@ from .model import (
     Flow,
     HybridNetwork,
     Matching,
+    check_endpoints,
     classify_demands,
     congestion_of,
-    ensure_valid,
     pair_key,
 )
 
@@ -37,9 +37,12 @@ class RoundedSolution:
 
     matching: Matching
     flow: Flow
-    max_load: float
     lp_bound: float
     report: CongestionReport
+
+    @property
+    def max_load(self) -> float:
+        return self.report.max_load
 
 
 def round_matching(solution: LpSolution) -> Matching:
@@ -78,7 +81,6 @@ def rescale_flows(solution: LpSolution, matching: Matching) -> Flow:
 def solve_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
     """Splittable segregated solver; the output load is within twice the
     fractional optimum."""
-    ensure_valid(net, demands)
     problem = build_mcrn_lp(net, demands)
     solution = solve_lp(problem)
     if not solution.optimal:
@@ -86,13 +88,7 @@ def solve_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
     matching = round_matching(solution)
     flow = rescale_flows(solution, matching)
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(
-        matching=matching,
-        flow=flow,
-        max_load=report.max_load,
-        lp_bound=solution.objective,
-        report=report,
-    )
+    return RoundedSolution(matching, flow, solution.objective, report)
 
 
 def solve_us(
@@ -119,7 +115,7 @@ def solve_us(
     if flow is None:
         raise AssertionError("stage-2 LP infeasible although stage 1 produced a flow")
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(matching, flow, report.max_load, stage1.lp_bound, report)
+    return RoundedSolution(matching, flow, stage1.lp_bound, report)
 
 
 def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
@@ -131,10 +127,10 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     on one warm LP, then route the cheapest with ``route_matching`` under
     ``ss``.
     """
-    ensure_valid(net, demands)
+    check_endpoints(net, demands)
     if demands.is_empty:
         report = congestion_of(net, Matching(), Flow())
-        return RoundedSolution(Matching(), Flow(), 0.0, 0.0, report)
+        return RoundedSolution(Matching(), Flow(), 0.0, report)
     if classify_demands(demands) is DemandStructure.MULTI:
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
@@ -146,4 +142,4 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     matching, _ = _first_cheapest(routable)
     flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(matching, flow, report.max_load, report.max_load, report)
+    return RoundedSolution(matching, flow, report.max_load, report)

@@ -155,6 +155,14 @@ def test_a_bad_integer_option_is_refused_by_name(capsys, argv, option) -> None:
     assert f"argument {option}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--parallel", "0"], ["--parallel=-3"]], ids=["zero", "negative"])
+def test_experiment_refuses_fewer_than_one_worker_by_name(capsys, argv) -> None:
+    assert main(["experiment", "--plan", "plan.json", *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --parallel: expected an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("algo, trials", [("mc", "0"), ("oblivious", "-1")], ids=["mc", "oblivious"])
 def test_solve_refuses_fewer_than_one_trial(tmp_path, capsys, algo, trials) -> None:
     code, topo, dem, _ = _generate(tmp_path, capsys)
@@ -456,6 +464,18 @@ def test_solve_rejects_bad_link_records_with_usage_exit(tmp_path, capsys) -> Non
     (line,) = err.strip().splitlines()
     assert line.startswith("error:")
     assert "NonFiniteCapacity" in line and "NodeOutOfRange" in line
+
+
+def test_solve_refuses_an_invalid_topology_before_reading_the_demands(tmp_path, capsys) -> None:
+    topo = tmp_path / "topology.txt"
+    topo.write_text("S 0 1 1 1\nS 1 1 1 1\n")
+    missing = tmp_path / "missing.csv"
+    code = main(
+        ["solve", "--topology", str(topo), "--demands", str(missing), "--routing", "ss", "--algo", "mc"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "SelfLoop" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("present", [{}, {"k_values": [3]}, {"node_counts": [8]}])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reconfnet.errors import (
     FlowOnUnselectedLinkError,
     InvalidDemandError,
+    InvalidNetworkError,
     NonConservedFlowError,
     ReconfNetError,
     TopologyParseError,
@@ -23,32 +24,39 @@ from reconfnet.model import (
     Flow,
     HybridNetwork,
     Matching,
+    StaticLink,
     classify_demands,
     congestion_of,
     read_topology,
     topology_records,
-    validate_network,
     write_topology,
 )
+from reconfnet.workloads import gen_k_regular
 
 from .conftest import random_instance
 
 
+def _codes(caught) -> tuple[str, ...]:
+    return tuple(issue.code for issue in caught.value.issues)
+
+
 def test_valid_three_node_path_passes(path_net) -> None:
-    assert validate_network(path_net).ok
+    assert path_net.n == 3
 
 
 def test_negative_capacity_reported() -> None:
-    net = HybridNetwork.build(3, static=[(0, 1, -1.0, 1.0)], reconf_default=1.0)
-    result = validate_network(net)
-    assert "NegativeCapacity" in result.codes()
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(3, static=[(0, 1, -1.0, 1.0)], reconf_default=1.0)
+    assert "NegativeCapacity" in _codes(caught)
 
 
 def test_self_loop_reported() -> None:
-    net = HybridNetwork.build(2, static=[(0, 0, 1, 1)], reconf_default=1.0)
-    assert "SelfLoop" in validate_network(net).codes()
-    net = HybridNetwork.build(2, reconf_overrides={(1, 1): (1.0, 1.0)})
-    assert validate_network(net).codes() == ("SelfLoop",)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(2, static=[(0, 0, 1, 1)], reconf_default=1.0)
+    assert "SelfLoop" in _codes(caught)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(2, reconf_overrides={(1, 1): (1.0, 1.0)})
+    assert _codes(caught) == ("SelfLoop",)
 
 
 @pytest.mark.parametrize(
@@ -57,13 +65,87 @@ def test_self_loop_reported() -> None:
     ids=["static-nan", "static-inf", "default-inf"],
 )
 def test_non_finite_capacity_reported(static, default) -> None:
-    net = HybridNetwork.build(3, static=static, reconf_default=default)
-    assert validate_network(net).codes() == ("NonFiniteCapacity",)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(3, static=static, reconf_default=default)
+    assert _codes(caught) == ("NonFiniteCapacity",)
 
 
 def test_override_outside_node_range_reported() -> None:
-    net = HybridNetwork.build(3, static=[(0, 1, 1, 1)], reconf_overrides={(-1, 2): (5.0, 5.0)})
-    assert validate_network(net).codes() == ("NodeOutOfRange",)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(3, static=[(0, 1, 1, 1)], reconf_overrides={(-1, 2): (5.0, 5.0)})
+    assert _codes(caught) == ("NodeOutOfRange",)
+
+
+@pytest.mark.parametrize(
+    "static, default, code",
+    [
+        ([(0, 1, 1.0, 1.0), (1, 5, 1.0, 1.0)], 1.0, "NodeOutOfRange"),
+        ([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)], math.inf, "NonFiniteCapacity"),
+    ],
+    ids=["static-link-to-node-5", "default-inf"],
+)
+def test_no_constructor_yields_a_network_with_a_bad_link(static, default, code) -> None:
+    links = tuple(StaticLink(*link) for link in static)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork(3, links, default)
+    assert _codes(caught) == (code,)
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(3, static, reconf_default=default)
+    assert _codes(caught) == (code,)
+
+
+def test_topology_reader_refuses_every_bad_link_at_once(tmp_path) -> None:
+    path = tmp_path / "topo.txt"
+    path.write_text("S 0 1 1 1\nS 1 1 1 1\nS 1 2 -1 1\nS -1 2 1 1\n")
+    with pytest.raises(InvalidNetworkError) as caught:
+        read_topology(path)
+    assert _codes(caught) == ("SelfLoop", "NegativeCapacity", "NodeOutOfRange")
+    path.write_text("S 0 1 1 1\nS 1 2 1 1\n")
+    with pytest.raises(InvalidNetworkError) as caught:
+        read_topology(path, default_reconf_capacity=math.inf)
+    assert _codes(caught) == ("NonFiniteCapacity",)
+
+
+@pytest.mark.parametrize("capacity", [-1.0, math.inf])
+def test_k_regular_generator_refuses_a_bad_capacity(capacity) -> None:
+    with pytest.raises(InvalidNetworkError):
+        gen_k_regular(6, 3, seed=1, capacity=capacity)
+
+
+FAULTS = {  # each rewrites one link tuple (u, v, cap_uv, cap_vu) of an n-node network
+    "SelfLoop": lambda u, v, cf, cb, n: (u, u, cf, cb),
+    "NodeOutOfRange": lambda u, v, cf, cb, n: (u, n + v, cf, cb),
+    "NegativeCapacity": lambda u, v, cf, cb, n: (u, v, -cf, cb),
+    "NonFiniteCapacity-nan": lambda u, v, cf, cb, n: (u, v, cf, math.nan),
+    "NonFiniteCapacity-inf": lambda u, v, cf, cb, n: (u, v, math.inf, cb),
+}
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 20),
+    faults=st.lists(
+        st.tuples(st.sampled_from([*FAULTS, "NonFiniteCapacity-default"]), st.integers(0, 8)),
+        max_size=3,
+        unique_by=lambda fault: fault[1],  # one fault per link
+    ),
+)
+def test_construction_refuses_exactly_the_injected_faults(seed, faults) -> None:
+    net = gen_k_regular(6, 3, seed=seed)  # 9 links; every pair uses the default
+    links = [(link.u, link.v, link.cap_uv, link.cap_vu) for link in net.static_links]
+    default = net.reconf_default
+    for fault, index in faults:
+        if fault == "NonFiniteCapacity-default":
+            default = math.inf
+        else:
+            links[index] = FAULTS[fault](*links[index], net.n)
+    injected = {fault.split("-")[0] for fault, _ in faults}
+    if not injected:
+        assert HybridNetwork.build(net.n, links, reconf_default=default) == net
+        return
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(net.n, links, reconf_default=default)
+    assert set(_codes(caught)) == injected
 
 
 def test_build_normalises_reversed_override_key() -> None:
@@ -96,7 +178,6 @@ def test_large_network_build_validate_and_c_max_stay_small() -> None:
     tracemalloc.start()
     try:
         net = HybridNetwork.build(n, ring)
-        assert validate_network(net).ok
         assert net.c_max == 1.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -106,7 +187,6 @@ def test_large_network_build_validate_and_c_max_stay_small() -> None:
 
 def test_parallel_static_links_are_legal_and_addressable() -> None:
     net = HybridNetwork.build(2, static=[(0, 1, 1, 1), (0, 1, 2, 2)], reconf_default=1.0)
-    assert validate_network(net).ok
     arcs = [a for a in net.static_arcs() if a.tail == 0]
     assert len(arcs) == 2
     assert {a.copy for a in arcs} == {0, 1}
@@ -287,7 +367,6 @@ def test_topology_reader_fills_missing_reconf_pairs(tmp_path) -> None:
     assert net.reconf_capacity(0, 2) == 5.0
     assert net.reconf_capacity(2, 0) == 6.0
     assert net.reconf_capacity(0, 1) == 2.5
-    assert validate_network(net).ok
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -301,7 +380,6 @@ def test_topology_reader_honours_nodes_header(tmp_path) -> None:
     path.write_text("# nodes=5\nS 0 1 1 1\n")
     net = read_topology(path)
     assert net.n == 5
-    assert validate_network(net).ok
 
 
 def test_topology_reader_rejects_node_beyond_header(tmp_path) -> None:

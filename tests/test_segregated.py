@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from reconfnet.baselines import greedy_matching, max_weight_matching, oblivious
 from reconfnet.errors import InvalidDemandError, NotSingleSourceError
 from reconfnet.evaluation import (
     EvalSpec,
@@ -14,6 +15,8 @@ from reconfnet.evaluation import (
     brute_force_opt,
     default_trials,
     eval_matching,
+    route_matching,
+    solve_single_commodity_uniform,
 )
 from reconfnet.lp import LpStatus, build_mcrn_lp
 from reconfnet.lp.builder import LpSolution
@@ -290,7 +293,39 @@ def test_matching_cost_helper_agrees_with_solver_output(path_net) -> None:
     assert result.max_load >= priced - 1e-9  # solver flow cannot beat exact pricing
 
 
-@pytest.mark.parametrize("solver", [solve_ss, solve_single_source_ss])
+def _us_after_stage1(net, demands):
+    return solve_us(net, demands, stage1=solve_ss(net, DemandMatrix({(0, 1): 1})))
+
+
+def _then_eval(choose, spec):
+    return lambda net, demands: eval_matching(net, demands, choose(net, demands), spec)
+
+
+SS, US, SN, UN = RoutingModel.SS, RoutingModel.US, RoutingModel.SN, RoutingModel.UN
+ENTRY_POINTS = {
+    "solve_ss": solve_ss,
+    "solve_us": solve_us,
+    "solve_us-stage1": _us_after_stage1,
+    "solve_single_source_ss": solve_single_source_ss,
+    **{
+        f"eval_matching-{m.value}": _then_eval(lambda net, demands: Matching(), EvalSpec(m))
+        for m in RoutingModel
+    },
+    "eval_matching-un-path1": _then_eval(lambda net, demands: Matching(), EvalSpec(UN, 1)),
+    "greedy-then-eval": _then_eval(greedy_matching, EvalSpec(SS, 3)),
+    "mwm-then-eval": _then_eval(max_weight_matching, EvalSpec(SS)),
+    "route_matching": lambda net, demands: route_matching(net, demands, Matching(), EvalSpec(SS)),
+    **{
+        f"brute_force_opt-{m.value}": lambda net, demands, m=m: brute_force_opt(net, demands, EvalSpec(m))
+        for m in (SS, SN, US)
+    },
+    "oblivious": lambda net, demands: oblivious(net, demands, EvalSpec(SS)),
+    "solve_single_commodity_uniform": solve_single_commodity_uniform,
+    "build_mcrn_lp": build_mcrn_lp,
+}
+
+
+@pytest.mark.parametrize("solver", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
 def test_solvers_reject_demand_endpoint_outside_network(solver) -> None:
     net = gen_k_regular(6, 3, seed=1)
     with pytest.raises(InvalidDemandError, match=r"\(0, 9\)"):
