@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O failure, 4 capability refused
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,7 +92,7 @@ def _parser() -> argparse.ArgumentParser:
     exp.add_argument("--plan", type=str, required=True)
     exp.add_argument("--out-dir", type=str, default=".")
     exp.add_argument("--seed", type=_natural, default=None, help="override the plan's base seed")
-    exp.add_argument("--parallel", type=_positive, default=os.cpu_count() or 1)
+    exp.add_argument("--parallel", type=functools.partial(_natural, least=1), default=os.cpu_count() or 1)
     exp.add_argument("--jsonl", action="store_true")
 
     return parser
@@ -139,12 +140,8 @@ def _natural(raw: str, least: int = 0) -> int:
     return int(raw)
 
 
-def _positive(raw: str) -> int:
-    return _natural(raw, least=1)
-
-
 def _parse_path_limit(raw: str) -> int | None:
-    return None if raw.lower() in ("none", "inf", "unlimited") else _positive(raw)
+    return None if raw.lower() in ("none", "inf", "unlimited") else _natural(raw, least=1)
 
 
 def _cmd_solve(args) -> int:

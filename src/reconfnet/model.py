@@ -124,7 +124,7 @@ class HybridNetwork:
             issues += _link_issues(f"static link {idx}", link.u, link.v, caps, self.n)
         for (i, j), caps in self.reconf_overrides:
             issues += _link_issues(f"reconfigurable pair ({i}, {j})", i, j, caps, self.n)
-        if self.uses_default():
+        if sum(0 <= i < j < self.n for i, j in overrides) < self.n * (self.n - 1) // 2:
             issues += _capacity_issues("the default reconfigurable capacity", (self.reconf_default,))
         if issues:
             raise InvalidNetworkError(issues)

@@ -37,12 +37,9 @@ class RoundedSolution:
 
     matching: Matching
     flow: Flow
+    max_load: float
     lp_bound: float
     report: CongestionReport
-
-    @property
-    def max_load(self) -> float:
-        return self.report.max_load
 
 
 def round_matching(solution: LpSolution) -> Matching:
@@ -88,7 +85,13 @@ def solve_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
     matching = round_matching(solution)
     flow = rescale_flows(solution, matching)
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(matching, flow, solution.objective, report)
+    return RoundedSolution(
+        matching=matching,
+        flow=flow,
+        max_load=report.max_load,
+        lp_bound=solution.objective,
+        report=report,
+    )
 
 
 def solve_us(
@@ -115,7 +118,7 @@ def solve_us(
     if flow is None:
         raise AssertionError("stage-2 LP infeasible although stage 1 produced a flow")
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(matching, flow, stage1.lp_bound, report)
+    return RoundedSolution(matching, flow, report.max_load, stage1.lp_bound, report)
 
 
 def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> RoundedSolution:
@@ -130,7 +133,7 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     check_endpoints(net, demands)
     if demands.is_empty:
         report = congestion_of(net, Matching(), Flow())
-        return RoundedSolution(Matching(), Flow(), 0.0, report)
+        return RoundedSolution(Matching(), Flow(), 0.0, 0.0, report)
     if classify_demands(demands) is DemandStructure.MULTI:
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
@@ -142,4 +145,4 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     matching, _ = _first_cheapest(routable)
     flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
     report = congestion_of(net, matching, flow)
-    return RoundedSolution(matching, flow, report.max_load, report)
+    return RoundedSolution(matching, flow, report.max_load, report.max_load, report)

@@ -172,6 +172,15 @@ def test_default_capacity_counts_only_while_some_pair_uses_it() -> None:
     assert (net.c_min, net.c_max) == (1.0, 9.0)
 
 
+@pytest.mark.parametrize("bad_pair, code", [((1, 1), "SelfLoop"), ((0, 5), "NodeOutOfRange")])
+def test_an_invalid_override_does_not_hide_the_default_a_pair_uses(bad_pair, code) -> None:
+    with pytest.raises(InvalidNetworkError) as caught:
+        HybridNetwork.build(2, reconf_default=math.inf, reconf_overrides={bad_pair: (1.0, 1.0)})
+    assert set(_codes(caught)) == {code, "NonFiniteCapacity"}
+    net = HybridNetwork.build(2, reconf_default=math.inf, reconf_overrides={(0, 1): (1.0, 1.0)})
+    assert not net.uses_default()
+
+
 def test_large_network_build_validate_and_c_max_stay_small() -> None:
     n = 1000
     ring = [(i, (i + 1) % n, 1.0, 1.0) for i in range(n)]
