@@ -29,6 +29,11 @@ class InvalidDemandError(ReconfNetError, ValueError):
     outside the network."""
 
 
+class InvalidMatchingError(ReconfNetError, ValueError):
+    """A matching pair is a self-pair, shares an endpoint with another pair,
+    or has an endpoint outside the network."""
+
+
 class InfeasibleDemandError(ReconfNetError):
     """A positive demand has no route of positive capacity."""
 

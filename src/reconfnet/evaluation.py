@@ -99,12 +99,16 @@ def offload_paths(
 def _residual_problem(
     net: HybridNetwork, demands: DemandMatrix, matching: Matching, segregated: bool
 ) -> tuple[list[FlowPath], DemandMatrix, tuple[DirectedLink, ...]]:
-    """Offloaded paths, the demands left to route, and the arcs they may use."""
+    """Offloaded paths, the demands left to route, and the arcs they may use.
+
+    Every model builds the matched arcs, so a pair outside the network is
+    refused before any routing."""
     static = tuple(a for a in net.static_arcs() if a.capacity > 0)
+    matched = tuple(a for a in matching.arcs(net) if a.capacity > 0)
     if segregated:
         fixed, residual = offload_paths(net, demands, matching)
         return fixed, residual, static
-    return [], demands, static + tuple(a for a in matching.arcs(net) if a.capacity > 0)
+    return [], demands, static + matched
 
 
 def _restricted_path_lp(

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     FlowOnUnselectedLinkError,
     InvalidDemandError,
+    InvalidMatchingError,
     InvalidNetworkError,
     NonConservedFlowError,
     TopologyParseError,
@@ -310,9 +311,9 @@ class Matching:
         nodes: set[NodeId] = set()
         for i, j in canon:
             if i == j:
-                raise ValueError(f"matching pair with equal endpoints: {i}")
+                raise InvalidMatchingError(f"matching pair with equal endpoints: {i}")
             if i in nodes or j in nodes:
-                raise ValueError(f"node reused in matching: pair ({i}, {j})")
+                raise InvalidMatchingError(f"node reused in matching: pair ({i}, {j})")
             nodes.add(i)
             nodes.add(j)
         self._pairs = tuple(canon)
@@ -360,8 +361,14 @@ class Matching:
         return f"Matching({list(self._pairs)})"
 
     def arcs(self, net: HybridNetwork) -> tuple[DirectedLink, ...]:
+        """Both directions of each pair on ``net``; a pair with an endpoint
+        outside the network raises ``InvalidMatchingError``."""
         out = []
         for i, j in self._pairs:
+            if i < 0 or j >= net.n:
+                raise InvalidMatchingError(
+                    f"matching pair ({i}, {j}) has an endpoint outside nodes [0, {net.n})"
+                )
             out.append(net.reconf_arc(i, j))
             out.append(net.reconf_arc(j, i))
         return tuple(out)

@@ -10,6 +10,7 @@ import pytest
 
 from reconfnet.errors import (
     InstanceTooLargeError,
+    InvalidMatchingError,
     NonUniformCapacitiesError,
     NotSingleCommodityError,
 )
@@ -23,7 +24,7 @@ from reconfnet.evaluation import (
     solve_single_commodity_uniform,
 )
 from reconfnet.maxflow import _merge_conflicts, max_flow_with_matching
-from reconfnet.model import DemandMatrix, HybridNetwork, Matching
+from reconfnet.model import DemandMatrix, Flow, HybridNetwork, Matching, congestion_of
 from reconfnet.segregated import solve_ss
 
 from .conftest import random_instance, single_commodity_uniform_instance
@@ -337,3 +338,22 @@ def test_brute_force_un_pruning_keeps_the_optimum(seed) -> None:
     ]
     _, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.UN))
     assert report.max_load == pytest.approx(min(every), abs=1e-9)
+
+
+@pytest.mark.parametrize("routing", list(RoutingModel))
+@pytest.mark.parametrize("path_limit", [None, 1, 3])
+def test_matching_pair_outside_the_network_is_refused(path_net, routing, path_limit) -> None:
+    demands, matching = DemandMatrix({(0, 1): 1.0}), Matching([(0, 9)])
+    spec = EvalSpec(routing, path_limit=path_limit)
+    named = r"\(0, 9\).*\[0, 3\)"
+    with pytest.raises(InvalidMatchingError, match=named):
+        eval_matching(path_net, demands, matching, spec)
+    with pytest.raises(InvalidMatchingError, match=named):
+        route_matching(path_net, demands, matching, spec)
+
+
+def test_congestion_of_refuses_a_matching_pair_outside_the_network(path_net) -> None:
+    with pytest.raises(InvalidMatchingError, match=r"\(0, 9\).*\[0, 3\)"):
+        congestion_of(path_net, Matching([(0, 9)]), Flow())
+    with pytest.raises(InvalidMatchingError, match=r"\(-1, 2\)"):
+        congestion_of(path_net, Matching([(-1, 2)]), Flow())

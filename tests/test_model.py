@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reconfnet.errors import (
     FlowOnUnselectedLinkError,
     InvalidDemandError,
+    InvalidMatchingError,
     InvalidNetworkError,
     NonConservedFlowError,
     ReconfNetError,
@@ -298,6 +299,10 @@ def test_classify_no_demands_is_multi() -> None:
 def test_matching_rejects_shared_endpoint() -> None:
     with pytest.raises(ValueError):
         Matching([(0, 1), (1, 2)])
+    with pytest.raises(InvalidMatchingError, match="reused"):
+        Matching([(0, 1), (1, 2)])
+    with pytest.raises(InvalidMatchingError, match="equal endpoints"):
+        Matching([(2, 2)])
 
 
 def test_demand_matrix_rejects_self_and_negative() -> None:

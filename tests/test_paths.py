@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconfnet.model import HybridNetwork, Matching
+from reconfnet import paths
+from reconfnet.evaluation import EvalSpec, RoutingModel, eval_matching
+from reconfnet.model import DemandMatrix, HybridNetwork, Matching
 from reconfnet.paths import all_simple_paths, k_shortest_paths
+from reconfnet.workloads import gen_k_regular
 
 from .oracles import best_first_k_shortest_paths
 
@@ -80,6 +85,67 @@ def test_batched_search_equals_one_best_first_search_per_pair(graph, k) -> None:
     for src, dst in commodities:
         expected = best_first_k_shortest_paths(arcs, src, dst, k)
         assert found[(src, dst)] == expected  # arcs compare by ends, kind and copy
+
+
+@st.composite
+def sparse_multigraphs(draw):
+    """A random spanning forest on up to 14 relabelled nodes plus a few
+    chords, so paths run long and some nodes are isolated; one to three
+    parallel static copies per link, an active matching's reconfigurable
+    arcs alongside them, and commodities between any two nodes."""
+    n = draw(st.integers(2, 14))
+    label = draw(st.permutations(range(n)))
+    nodes = st.integers(0, n - 1)
+    links = []
+    for v in range(1, n):
+        parent = draw(st.integers(-2, v - 1))  # below 0: v roots a new tree
+        if parent >= 0:
+            links.append((label[parent], label[v]))
+    links += draw(st.lists(st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1]), max_size=3))
+    copies = st.sampled_from([1, 1, 1, 2, 3])
+    static = [(u, v, 1.0, 1.0) for u, v in links for _ in range(draw(copies))]
+    net = HybridNetwork.build(n, static, reconf_default=1.0)
+    chosen: list[tuple[int, int]] = []
+    for i, j in draw(st.lists(st.tuples(nodes, nodes), max_size=3)):
+        if i != j and all(i not in p and j not in p for p in chosen):
+            chosen.append((i, j))
+    arcs = net.static_arcs() + Matching(chosen).arcs(net)
+    commodities = draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=n))
+    return arcs, commodities
+
+
+@settings(max_examples=200)
+@given(graph=sparse_multigraphs(), k=st.integers(2, 6))
+def test_goal_directed_search_equals_exhaustive_search_on_sparse_graphs(graph, k) -> None:
+    arcs, commodities = graph
+    found = k_shortest_paths(arcs, commodities, k)
+    for src, dst in commodities:
+        assert found[(src, dst)] == best_first_k_shortest_paths(arcs, src, dst, k)
+
+
+def _with_isolated_node():
+    """``gen_k_regular(24, 4, seed=1)``'s links on 25 nodes: node 24 has none."""
+    links = gen_k_regular(24, 4, seed=1).static_links
+    return HybridNetwork.build(25, [(l.u, l.v, l.cap_uv, l.cap_vu) for l in links])
+
+
+def test_unreachable_target_answers_without_searching(monkeypatch) -> None:
+    net = _with_isolated_node()
+    spec = EvalSpec(RoutingModel.SS, path_limit=3)
+    report = eval_matching(net, DemandMatrix({(0, 24): 1.0}), Matching(), spec)
+    assert report.max_load == math.inf and report.argmax_link is None
+    monkeypatch.setattr(paths, "_MAX_HEAP_POPS", 1)
+    assert k_shortest_paths(net.static_arcs(), [(0, 24)], 3) == {(0, 24): []}
+
+
+def test_search_expands_only_heads_that_lead_towards_the_target(monkeypatch) -> None:
+    # The largest of these searches takes 99 pops; one that ignores the
+    # distance to the target needs 793.
+    monkeypatch.setattr(paths, "_MAX_HEAP_POPS", 200)
+    arcs = gen_k_regular(60, 4, seed=100).static_arcs()
+    pairs = [(s, t) for s in range(60) for t in range(60) if s != t]
+    found = k_shortest_paths(arcs, pairs, 3)
+    assert all(len(p) == 3 for p in found.values())
 
 
 def test_all_simple_paths_complete(diamond) -> None:
