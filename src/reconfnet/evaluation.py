@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -220,17 +220,15 @@ def _cheapest_routing(
     ids = [[np.array([numbered.id[a] for a in arcs]) for arcs in menu] for _, _, menu in menus]
     amounts = [[np.full(len(arcs), d) for arcs in menu] for _, d, menu in menus]
 
-    def priced() -> Iterator[tuple[Sequence[int], float]]:
-        for assignment in assignments:
-            picks = list(zip(ids, amounts, assignment))
-            arc_ids = np.concatenate([fixed_ids] + [i[k] for i, _, k in picks])
-            flow = np.concatenate([fixed_amounts] + [a[k] for _, a, k in picks])
-            loads = numbered.loads(arc_ids, flow)
-            yield assignment, float(loads.max(initial=0.0))
+    def load(assignment: Sequence[int]) -> float:
+        picks = list(zip(ids, amounts, assignment))
+        arc_ids = np.concatenate([fixed_ids] + [i[k] for i, _, k in picks])
+        flow = np.concatenate([fixed_amounts] + [a[k] for _, a, k in picks])
+        return float(numbered.loads(arc_ids, flow).max(initial=0.0))
 
-    assignment, load = _first_cheapest(priced())
+    assignment, price = _first_cheapest(assignments, load)
     chosen = [(commodity, menu[k], d) for (commodity, d, menu), k in zip(menus, assignment)]
-    return Flow(list(fixed) + chosen), load
+    return Flow(list(fixed) + chosen), price
 
 
 def eval_matching(
@@ -361,6 +359,15 @@ def brute_force_opt(
     unused.  Unsplittable models additionally enumerate path assignments
     exhaustively, bounded by a path-count budget.  Networks of more than
     ``ORACLE_NODE_LIMIT`` nodes are refused.
+
+    A matching is priced only while its node-cut bound (``_node_cut_bound``)
+    could still beat the incumbent: the enumeration keeps its order and
+    skips a matching whose bound is at least the incumbent's price minus
+    1e-12.  Its exact load is at least its bound, so it could not undercut
+    the incumbent by more than 1e-12, and the winner and its report are
+    those of pricing every matching.  A skipped matching's path space is
+    never enumerated, so ``InstanceTooLargeError`` for the path budget comes
+    only from a matching that is priced.
     """
     check_endpoints(net, demands)
     if net.n > ORACLE_NODE_LIMIT:
@@ -374,35 +381,109 @@ def brute_force_opt(
     else:
         base_pairs = list(itertools.combinations(range(net.n), 2))
     matchings = _enumerate_matchings(base_pairs, maximal_only=not spec.routing.segregated)
+    bound = _node_cut_bound(net, demands, spec.routing)
 
     if spec.routing.splittable:
-        priced = _price_matchings(net, demands, matchings, spec.routing)
-        matching, _ = _first_cheapest((m, math.inf if p is None else p) for m, p in priced)
+        warm = _warm_price(net, demands, spec.routing)
+        matching, _ = _first_cheapest(matchings, lambda m: _unroutable_at_inf(warm(m)), bound)
         return matching, eval_matching(net, demands, matching, EvalSpec(routing=spec.routing))
-    routings = ((m, *_unsplittable_cost(net, demands, m, spec)) for m in matchings)
-    (matching, flow), _ = _first_cheapest(((m, flow), load) for m, flow, load in routings)
+    flows: dict[Matching, Flow | None] = {}  # the routing of each priced matching
+
+    def route(matching: Matching) -> float:
+        flows[matching], load = _unsplittable_cost(net, demands, matching, spec)
+        return load
+
+    matching, _ = _first_cheapest(matchings, route, bound)
+    flow = flows[matching]
     return matching, infinite_congestion() if flow is None else congestion_of(net, matching, flow)
 
 
-def _first_cheapest(priced: Iterable[tuple[T, float]]) -> tuple[T, float]:
+def _first_cheapest(
+    items: Iterable[T],
+    price: Callable[[T], float | None],
+    bound: Callable[[T], float] | None = None,
+) -> tuple[T, float] | None:
     """The first item no later one undercuts by more than 1e-12, with its
-    price."""
+    price; None when every price is None (an item priced None is no
+    candidate).  An item whose ``bound`` is at least the incumbent's price
+    minus 1e-12 is not priced: a price no lower than its bound could not
+    undercut the incumbent."""
     best: tuple[T, float] | None = None
-    for item, price in priced:
-        if best is None or price < best[1] - 1e-12:
-            best = (item, price)
-    assert best is not None  # every stream priced here has at least one item
+    for item in items:
+        if best is not None and bound is not None and bound(item) >= best[1] - 1e-12:
+            continue
+        value = price(item)
+        if value is not None and (best is None or value < best[1] - 1e-12):
+            best = (item, value)
     return best
 
 
-def _price_matchings(
-    net: HybridNetwork,
-    demands: DemandMatrix,
-    matchings: Iterable[Matching],
-    routing: RoutingModel,
-) -> Iterator[tuple[Matching, float | None]]:
-    """Each matching with its exact splittable load, or None when some
-    demand has no route; every price re-solves one LP from its last basis.
+def _unroutable_at_inf(price: float | None) -> float:
+    return math.inf if price is None else price
+
+
+def _cheapest_routable(
+    net: HybridNetwork, demands: DemandMatrix, matchings: Iterable[Matching], routing: RoutingModel
+) -> Matching | None:
+    """The first of ``matchings`` with a routing that no later one undercuts
+    by more than 1e-12 in exact splittable load, or None when none has one;
+    priced on one warm LP, under the node-cut bound."""
+    best = _first_cheapest(
+        matchings, _warm_price(net, demands, routing), _node_cut_bound(net, demands, routing)
+    )
+    return None if best is None else best[0]
+
+
+def _offload_loads(net: HybridNetwork, demands: DemandMatrix) -> np.ndarray:
+    """Each commodity's load on its own reconfigurable arc, in commodity order."""
+    commodities = demands.commodities()
+    return ArcIds(net.reconf_arc(*c) for c in commodities).loads(
+        np.arange(len(commodities)), np.array([demands.get(*c) for c in commodities])
+    )
+
+
+def _node_cut_bound(
+    net: HybridNetwork, demands: DemandMatrix, routing: RoutingModel
+) -> Callable[[Matching], float]:
+    """A lower bound on a matching's least load under ``routing``, split or
+    unsplit.
+
+    Every unit of demand out of node v crosses v's out-arcs, so some out-arc
+    carries at least out_d(v) / out_cap(v); likewise for the in-arcs.  The
+    capacity sums v's positive static arcs, plus its matched reconfigurable
+    arc under a non-segregated model.  Under a segregated model the demand
+    leaves the offloaded commodities out, and the bound also covers their
+    largest load on their own arcs.  x / 0 is infinite for x > 0."""
+    commodities = demands.commodities()
+    ends = np.array(commodities, dtype=np.intp).reshape(-1, 2)
+    amounts = np.array([demands.get(*c) for c in commodities])
+    offload = _offload_loads(net, demands)
+    static = tuple(a for a in net.static_arcs() if a.capacity > 0)
+
+    def cut(arcs: tuple[DirectedLink, ...], kept: np.ndarray) -> float:
+        arc_ends = np.array([(a.tail, a.head) for a in arcs], dtype=np.intp).reshape(-1, 2)
+        worst = 0.0
+        for side in (0, 1):  # out of each node, then into it
+            flow = np.bincount(ends[kept, side], amounts[kept], minlength=net.n)
+            cap = np.bincount(arc_ends[:, side], [a.capacity for a in arcs], minlength=net.n)
+            ratio = np.divide(flow, cap, out=np.where(flow > 0, math.inf, 0.0), where=cap > 0)
+            worst = max(worst, float(ratio.max(initial=0.0)))
+        return worst
+
+    def bound(matching: Matching) -> float:
+        if not routing.segregated:
+            return cut(static + matching.arcs(net), np.ones(len(commodities), dtype=bool))
+        offloaded = np.array([c in matching for c in commodities], dtype=bool)
+        return max(float(offload[offloaded].max(initial=0.0)), cut(static, ~offloaded))
+
+    return bound
+
+
+def _warm_price(
+    net: HybridNetwork, demands: DemandMatrix, routing: RoutingModel
+) -> Callable[[Matching], float | None]:
+    """A matching's exact splittable load, or None when some demand has no
+    route; every price re-solves one LP from its last basis.
 
     The LP holds every commodity.  Under ``ss`` it routes over the static
     arcs, a matched commodity's sink row drops its demand, and the price also
@@ -416,21 +497,19 @@ def _price_matchings(
         arcs += tuple(a for i, j in pairs for a in Matching([(i, j)]).arcs(net) if a.capacity > 0)
     problem = build_mcmf_lp(arcs, demands)
     if problem.trivially_optimal:
-        yield from ((matching, 0.0) for matching in matchings)
-        return
+        return lambda matching: 0.0
     lp = problem.lp
     commodities = demands.commodities()
     sink_rows = problem.sink_rows(commodities)
     demand = lp.row_lower[sink_rows].copy()
-    offload = ArcIds(net.reconf_arc(*c) for c in commodities).loads(
-        np.arange(len(commodities)), np.array([demands.get(*c) for c in commodities])
-    )
+    offload = _offload_loads(net, demands)
     block_starts = 1 + np.arange(len(problem.sources)) * len(problem.arcs)
     arc_columns: dict[tuple[NodeId, NodeId], list[int]] = {}  # every source's, per pair
     for a, arc in enumerate(problem.arcs):
         if arc.kind is LinkKind.RECONFIGURABLE:
             arc_columns.setdefault(pair_key(arc.tail, arc.head), []).extend(block_starts + a)
-    for matching in matchings:
+
+    def price(matching: Matching) -> float | None:
         offloaded = 0.0
         if routing.segregated:
             matched = np.array([pair_key(*c) in matching for c in commodities])
@@ -440,9 +519,10 @@ def _price_matchings(
             lp.col_upper[columns] = np.inf if pair in matching else 0.0
         result = solve_simplex(lp)
         if result.status is LpStatus.INFEASIBLE:
-            yield matching, None
-            continue
-        yield matching, max(offloaded, result.objective * problem.demand_scale)
+            return None
+        return max(offloaded, result.objective * problem.demand_scale)
+
+    return price
 
 
 def _enumerate_matchings(pairs: list[tuple[NodeId, NodeId]], maximal_only: bool = False):

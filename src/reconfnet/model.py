@@ -192,10 +192,6 @@ class HybridNetwork:
     def c_max(self) -> float:
         return max(self.capacities(), default=0.0)
 
-    @property
-    def c_min(self) -> float:
-        return min(self.capacities(), default=0.0)
-
 
 def _link_issues(what: str, u: NodeId, v: NodeId, caps: tuple[float, ...], n: int) -> list[ValidationIssue]:
     issues = []

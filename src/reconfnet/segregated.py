@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleDemandError, NotSingleSourceError
 from .evaluation import EvalSpec, RoutingModel, offload_paths, route_matching
-from .evaluation import _first_cheapest, _price_matchings
+from .evaluation import _cheapest_routable
 from .lp import LpSolution, build_mcrn_lp, solve_lp
 from .model import (
     CongestionReport,
@@ -128,7 +128,10 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
     All demand-positive pairs share a node, so a matching can activate at
     most one of them: price the empty matching plus every singleton exactly
     on one warm LP, then route the cheapest with ``route_matching`` under
-    ``ss``.
+    ``ss``.  A candidate is priced only while its node-cut bound could still
+    beat the cheapest so far (as in ``brute_force_opt``): its exact load is
+    at least its bound, so a skipped one could not have won and the answer
+    is that of pricing every candidate.
     """
     check_endpoints(net, demands)
     if demands.is_empty:
@@ -138,11 +141,9 @@ def solve_single_source_ss(net: HybridNetwork, demands: DemandMatrix) -> Rounded
         raise NotSingleSourceError("demands have neither a single source nor a single destination")
 
     candidates = [Matching()] + [Matching([pair]) for pair in demands.positive_pairs()]
-    priced = _price_matchings(net, demands, candidates, RoutingModel.SS)
-    routable = [(matching, price) for matching, price in priced if price is not None]
-    if not routable:
+    matching = _cheapest_routable(net, demands, candidates, RoutingModel.SS)
+    if matching is None:
         raise InfeasibleDemandError("no candidate matching can serve the demands")
-    matching, _ = _first_cheapest(routable)
     flow = route_matching(net, demands, matching, EvalSpec(RoutingModel.SS))
     report = congestion_of(net, matching, flow)
     return RoundedSolution(matching, flow, report.max_load, report.max_load, report)

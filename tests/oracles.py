@@ -19,13 +19,22 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from reconfnet.evaluation import EvalSpec, _enumerate_matchings, eval_matching
+from reconfnet.evaluation import (
+    EvalSpec,
+    RoutingModel,
+    _enumerate_matchings,
+    _unsplittable_cost,
+    eval_matching,
+)
 from reconfnet.model import (
+    CongestionReport,
     DemandMatrix,
     DirectedLink,
     HybridNetwork,
     Matching,
     arc_order,
+    congestion_of,
+    infinite_congestion,
     pair_key,
 )
 from reconfnet.paths import all_simple_paths
@@ -188,18 +197,37 @@ def exhaustive_ss_opt(net: HybridNetwork, demands: DemandMatrix) -> tuple[Matchi
     return best_matching, best
 
 
+def oracle_matchings(net: HybridNetwork, demands: DemandMatrix, routing: RoutingModel):
+    """The matchings ``brute_force_opt`` enumerates under ``routing``, in its order."""
+    if routing.segregated:
+        return _enumerate_matchings(list(demands.positive_pairs()))
+    return _enumerate_matchings(list(itertools.combinations(range(net.n), 2)), maximal_only=True)
+
+
 def cold_matching_minimum(net: HybridNetwork, demands: DemandMatrix, spec: EvalSpec) -> float:
     """Least ``eval_matching`` load over the matchings ``brute_force_opt``
     enumerates, each priced on its own freshly built LP (the reference for
     any optimizer that re-solves one model across matchings)."""
-    if spec.routing.segregated:
-        pairs, maximal_only = list(demands.positive_pairs()), False
-    else:
-        pairs, maximal_only = list(itertools.combinations(range(net.n), 2)), True
     return min(
         eval_matching(net, demands, matching, EvalSpec(spec.routing)).max_load
-        for matching in _enumerate_matchings(pairs, maximal_only=maximal_only)
+        for matching in oracle_matchings(net, demands, spec.routing)
     )
+
+
+def unpruned_unsplittable_opt(
+    net: HybridNetwork, demands: DemandMatrix, spec: EvalSpec
+) -> tuple[Matching, CongestionReport]:
+    """``brute_force_opt`` under ``us`` or ``un`` without its bound: every
+    matching it enumerates is routed by ``_unsplittable_cost`` and the first
+    that no later one undercuts by more than 1e-12 wins (the reference for
+    the bounded search)."""
+    best = None
+    for matching in oracle_matchings(net, demands, spec.routing):
+        flow, load = _unsplittable_cost(net, demands, matching, spec)
+        if best is None or load < best[2] - 1e-12:
+            best = (matching, flow, load)
+    matching, flow, _ = best
+    return matching, infinite_congestion() if flow is None else congestion_of(net, matching, flow)
 
 
 def exhaustive_max_weight(pairs_with_weights) -> float:

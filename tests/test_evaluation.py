@@ -340,6 +340,33 @@ def test_brute_force_un_pruning_keeps_the_optimum(seed) -> None:
     assert report.max_load == pytest.approx(min(every), abs=1e-9)
 
 
+def test_sn_oracle_prices_only_matchings_whose_bound_can_win(monkeypatch) -> None:
+    # Every maximal matching of K6 is perfect, so node 0 always has its three
+    # unit static arcs plus one unit matched arc: each matching's node-cut
+    # bound is 1/4.  The first matching reaches it, so no other is priced:
+    # one warm price and the winner's cold re-route.
+    from reconfnet import evaluation
+    from reconfnet.lp import builder
+    from reconfnet.workloads import gen_k_regular
+
+    solve_simplex = evaluation.solve_simplex
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve_simplex(lp)
+
+    monkeypatch.setattr(evaluation, "solve_simplex", counted)
+    monkeypatch.setattr(builder, "solve_simplex", counted)
+    links = [(link.u, link.v, 1.0, 1.0) for link in gen_k_regular(6, 3, seed=1).static_links]
+    net = HybridNetwork.build(6, links, reconf_default=1.0)
+    demands = DemandMatrix({(0, 3): 1.0})
+    matching, report = brute_force_opt(net, demands, EvalSpec(routing=RoutingModel.SN))
+    assert matching.pairs == ((0, 5), (1, 4), (2, 3))
+    assert report.max_load == pytest.approx(0.25, abs=1e-12)
+    assert len(calls) <= 2
+
+
 @pytest.mark.parametrize("routing", list(RoutingModel))
 @pytest.mark.parametrize("path_limit", [None, 1, 3])
 def test_matching_pair_outside_the_network_is_refused(path_net, routing, path_limit) -> None:

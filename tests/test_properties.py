@@ -6,10 +6,14 @@ to ten nodes, capacities from 0.5 to 1000 and demands over eight decades.
 The properties hold for any correct LP formulation and any path
 decomposition, so they guard changes to either.  Demand files and seeded solves get a round trip and a repeat,
 and the batched rounding draws are held to one ``Generator.choice`` call per commodity.
+The exhaustive oracle's node-cut bound is held below every exact load, and
+its bounded search to the unbounded one's answer, on networks that also have
+zero-capacity static copies and dead reconfigurable directions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconfnet.evaluation import EvalSpec, RoutingModel, _best_rounding, brute_force_opt
+from reconfnet.evaluation import (
+    EvalSpec,
+    RoutingModel,
+    _best_rounding,
+    _node_cut_bound,
+    _unsplittable_cost,
+    brute_force_opt,
+    eval_matching,
+)
 from reconfnet.lp import build_mcmf_lp, build_mcrn_lp, solve_lp, solver_noise
 from reconfnet.model import DemandMatrix, HybridNetwork, pair_key
 from reconfnet.segregated import solve_single_source_ss, solve_ss, solve_us
@@ -27,7 +39,9 @@ from .oracles import (
     cold_matching_minimum,
     enumerate_matchings,
     exhaustive_unsplittable_congestion,
+    oracle_matchings,
     path_lp_congestion,
+    unpruned_unsplittable_opt,
 )
 
 UNIT = st.sampled_from([1.0, 2.0, 3.0])
@@ -166,6 +180,51 @@ def test_unsplittable_segregated_optimum_equals_the_exhaustive_oracle(instance) 
         )
         oracle = min(oracle, max(offload + [static]))
     assert report.max_load == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def degraded_instances(draw) -> tuple[HybridNetwork, DemandMatrix]:
+    """``instances`` on at most six nodes and three demands, plus up to two
+    static copies of existing links with a zero-capacity direction (or two),
+    and up to n reconfigurable pairs whose capacities may be 0 in either
+    direction."""
+    net, demands = draw(instances(max_n=6, max_demands=3))
+    links = [(link.u, link.v, link.cap_uv, link.cap_vu) for link in net.static_links]
+    copies = draw(st.lists(st.sampled_from(links), max_size=2))
+    static = links + [(u, v, 0.0, draw(st.sampled_from([0.0, 1.0]))) for u, v, _, _ in copies]
+    pairs = list(itertools.combinations(range(net.n), 2))
+    caps = st.sampled_from([0.0, 1.0, 2.0])
+    dead = draw(st.dictionaries(st.sampled_from(pairs), st.tuples(caps, caps), max_size=net.n))
+    overrides = {**dict(net.reconf_overrides), **dead}
+    return HybridNetwork.build(net.n, static, net.reconf_default, overrides), demands
+
+
+@settings(max_examples=40)
+@given(instance=degraded_instances(), routing=st.sampled_from(list(RoutingModel)))
+def test_node_cut_bound_never_exceeds_the_exact_load(instance, routing) -> None:
+    net, demands = instance
+    spec = EvalSpec(routing)
+    bound = _node_cut_bound(net, demands, routing)
+    for matching in oracle_matchings(net, demands, routing):
+        if routing.splittable:
+            exact = eval_matching(net, demands, matching, spec).max_load
+        else:
+            exact = _unsplittable_cost(net, demands, matching, spec)[1]
+        assert bound(matching) <= exact * (1 + 1e-9)
+
+
+def _report_hex(matching, report) -> tuple:
+    loads = [(str(arc), load.hex()) for arc, load in report.per_link_loads.items()]
+    return matching.pairs, report.max_load.hex(), str(report.argmax_link), loads
+
+
+@settings(max_examples=40)
+@given(instance=degraded_instances(), routing=st.sampled_from([RoutingModel.US, RoutingModel.UN]))
+def test_bounded_unsplittable_search_returns_the_unbounded_winner(instance, routing) -> None:
+    net, demands = instance
+    spec = EvalSpec(routing)
+    got = _report_hex(*brute_force_opt(net, demands, spec))
+    assert got == _report_hex(*unpruned_unsplittable_opt(net, demands, spec))
 
 
 DEMAND = st.floats(1e-3, 1e6).map(lambda x: float(f"{x:.12g}"))  # what the file keeps
